@@ -186,17 +186,33 @@ unsafe fn drop_block_boxed<T>(header: *mut BlockHeader) -> Option<SizeClass> {
 /// returning its size class so the caller routes the block into a cache or
 /// back to the allocator. Installed as `drop_fn` at allocation time.
 ///
+/// If the payload's destructor panics, the memory goes back to the allocator
+/// as the panic unwinds: the payload is gone and no one else owns the block.
+///
 /// # Safety
 ///
 /// `header` must point to the `BlockHeader` of a live `Linked<T>` allocation
 /// of the matching `T` that was allocated as a class block. After the call
 /// the memory is uninitialized and owned by the caller.
 unsafe fn drop_block_classed<T>(header: *mut BlockHeader) -> Option<SizeClass> {
+    /// Frees the class memory unless defused.
+    struct FreeOnUnwind(Option<SizeClass>, *mut u8);
+    impl Drop for FreeOnUnwind {
+        fn drop(&mut self) {
+            if let Some(class) = self.0 {
+                // SAFETY: reached only while the payload's destructor
+                // unwinds; the memory is a class block of `class` that
+                // nothing else owns any more.
+                unsafe { dealloc_class(class, self.1) };
+            }
+        }
+    }
+    let mut guard = FreeOnUnwind(Linked::<T>::SIZE_CLASS, header.cast());
     // SAFETY: the caller guarantees `header` is the first field of a live
     // `Linked<T>` allocation; dropping it in place leaves the class memory
     // allocated but uninitialized, exactly what the contract hands back.
     unsafe { core::ptr::drop_in_place(header as *mut Linked<T>) };
-    Linked::<T>::SIZE_CLASS
+    guard.0.take()
 }
 
 /// Frees a retired block through its type-erased destructor, parking the

@@ -8,12 +8,15 @@
 //! crates can reuse them.
 
 use core::ptr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use crate::api::{Handle, RawHandle, Reclaimer, ReclaimerConfig};
-use crate::block::Linked;
+use crate::block::{BlockHeader, Linked};
 use crate::ptr::Atomic;
+use crate::retired::RetiredBatch;
+use crate::scan::ReservationSet;
 
 /// A payload that counts its drops, used to prove blocks are really freed.
 pub struct DropCounter {
@@ -32,6 +35,33 @@ impl DropCounter {
 impl Drop for DropCounter {
     fn drop(&mut self) {
         self.counter.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// A payload that counts its drop and then, if asked to, panics — used to
+/// prove that a panicking destructor neither loses nor double-frees blocks.
+pub struct PanicOnDrop {
+    counter: Arc<AtomicUsize>,
+    panics: bool,
+}
+
+impl PanicOnDrop {
+    /// Creates a payload that increments `counter` on drop and then panics
+    /// when `panics` is set.
+    pub fn new(counter: &Arc<AtomicUsize>, panics: bool) -> Self {
+        Self {
+            counter: Arc::clone(counter),
+            panics,
+        }
+    }
+}
+
+impl Drop for PanicOnDrop {
+    fn drop(&mut self) {
+        self.counter.fetch_add(1, Ordering::SeqCst);
+        if self.panics {
+            panic!("PanicOnDrop: this payload's destructor panics on purpose");
+        }
     }
 }
 
@@ -422,6 +452,253 @@ pub fn unreclaimed_is_bounded<R: Reclaimer>(bound: u64) {
     );
     drop(stack);
     drop(handle);
+}
+
+/// How far one held reservation reaches under a scheme. It fixes the exact
+/// set of blocks [`stalled_pin_then_release`] expects cleanup passes to keep.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PinReach {
+    /// Era schemes (HE, 2GEIBR, WFE): every block allocated before the
+    /// reservation was published and retired after it.
+    Lifespan,
+    /// EBR: every block retired after the reader entered its operation.
+    Epoch,
+    /// HP: the protected block only.
+    Pointer,
+    /// Leak: nothing is freed while the domain lives.
+    Never,
+}
+
+/// A stalled reader's held shield pins blocks across many cleanup passes,
+/// then releases them.
+///
+/// The reader protects one of `OLD` blocks that were live when it published
+/// its shield; the retirer retires all of them, then over `PASSES` passes
+/// retires fresh blocks allocated after the publication. Every pass must
+/// free exactly the unpinned retirees (per `reach`), checked by drop counts,
+/// while the pinned ones sit in runs. Once the shield is released, one
+/// `force_cleanup` drains the domain to zero.
+///
+/// With `drop_retirer`, the retiring handle is dropped while its runs exist:
+/// its final pass cannot free them, the batch is orphaned runs and all, and
+/// the surviving thread's single `force_cleanup` must adopt and drain it.
+pub fn stalled_pin_then_release<R: Reclaimer>(reach: PinReach, drop_retirer: bool) {
+    const OLD: usize = 16;
+    const NEW_PER_PASS: usize = 8;
+    const PASSES: usize = 4;
+    let old_drops = Arc::new(AtomicUsize::new(0));
+    let new_drops = Arc::new(AtomicUsize::new(0));
+    {
+        let domain = R::with_config(ReclaimerConfig {
+            // Passes run only when forced; every allocation advances the
+            // era, so blocks allocated after the publication are unpinned.
+            cleanup_freq: usize::MAX,
+            era_freq: 1,
+            ..ReclaimerConfig::with_max_threads(3)
+        });
+        let mut retirer = Some(domain.register());
+        let mut survivor = domain.register();
+        let mut reader = domain.register();
+        let writer = retirer.as_mut().unwrap();
+        let old: Vec<_> = (0..OLD)
+            .map(|_| writer.alloc(DropCounter::new(&old_drops)))
+            .collect();
+        let root = Atomic::new(old[0]);
+        let mut shield = reader.shield::<DropCounter>().expect("a free slot");
+        let guard = reader.enter();
+        let pinned = shield.protect(&guard, &root, None);
+        assert_eq!(pinned.as_raw(), old[0]);
+        root.store(ptr::null_mut(), Ordering::Release); // ORDER: single-threaded scenario; nothing pairs with it.
+        for &block in &old {
+            // SAFETY: unlinked above (or never published), retired once.
+            unsafe { writer.retire(block) };
+        }
+
+        let kept_old = if reach == PinReach::Pointer { 1 } else { OLD };
+        for pass in 1..=PASSES {
+            for _ in 0..NEW_PER_PASS {
+                let block = writer.alloc(DropCounter::new(&new_drops));
+                // SAFETY: never published; retired exactly once.
+                unsafe { writer.retire(block) };
+            }
+            writer.force_cleanup();
+            let freed_new = match reach {
+                PinReach::Lifespan | PinReach::Pointer => pass * NEW_PER_PASS,
+                PinReach::Epoch | PinReach::Never => 0,
+            };
+            assert_eq!(
+                old_drops.load(Ordering::SeqCst),
+                OLD - kept_old,
+                "pass {pass}: the pinned blocks survive, no other old block does"
+            );
+            assert_eq!(
+                new_drops.load(Ordering::SeqCst),
+                freed_new,
+                "pass {pass}: exactly the unpinned new blocks are freed"
+            );
+        }
+        // SAFETY: the held shield still pins the block.
+        assert!(unsafe { pinned.as_ref() }.is_some());
+
+        if drop_retirer {
+            // The final pass keeps the runs; the batch is orphaned with them.
+            drop(retirer.take());
+            assert!(domain.stats().unreclaimed > 0, "the runs were orphaned");
+        }
+        drop(guard);
+        drop(shield);
+        retirer.as_mut().unwrap_or(&mut survivor).force_cleanup();
+
+        let stats = domain.stats();
+        if reach == PinReach::Never {
+            assert_eq!(
+                stats.freed, 0,
+                "a leaking scheme frees nothing while running"
+            );
+        } else {
+            assert_eq!(
+                stats.unreclaimed, 0,
+                "one pass after the release drains every run"
+            );
+            assert_eq!(old_drops.load(Ordering::SeqCst), OLD);
+            assert_eq!(new_drops.load(Ordering::SeqCst), PASSES * NEW_PER_PASS);
+            if drop_retirer {
+                assert!(stats.adopted_batches >= 1, "the orphaned runs were adopted");
+            }
+        }
+    }
+    assert_eq!(
+        old_drops.load(Ordering::SeqCst),
+        OLD,
+        "every old block dropped exactly once"
+    );
+    assert_eq!(
+        new_drops.load(Ordering::SeqCst),
+        PASSES * NEW_PER_PASS,
+        "every new block dropped exactly once"
+    );
+}
+
+/// A payload destructor that panics is contained: the handle retires 10
+/// blocks, the destructor of #5 panics and the unwind is caught. A later
+/// pass plus the handle's drop (or, for a scheme that frees only at
+/// teardown, the domain's drop) must then drop every payload exactly once —
+/// no block lost, none freed twice, no abort. Runs with the block cache on
+/// and off, since the two free paths differ.
+pub fn panicking_destructor_is_contained<R: Reclaimer>(block_cache: bool) {
+    const BLOCKS: usize = 10;
+    const PANICS: usize = 5;
+    let drops: Vec<_> = (0..BLOCKS).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+    let mut config = ReclaimerConfig {
+        cleanup_freq: usize::MAX,
+        ..ReclaimerConfig::with_max_threads(2)
+    };
+    config.block_cache.enabled = block_cache;
+    let domain = R::with_config(config);
+    let mut handle = domain.register();
+    for (i, counter) in drops.iter().enumerate() {
+        let block = handle.alloc(PanicOnDrop::new(counter, i == PANICS));
+        // SAFETY: never published; retired exactly once.
+        unsafe { handle.retire(block) };
+    }
+    let pass = catch_unwind(AssertUnwindSafe(|| handle.force_cleanup()));
+    handle.force_cleanup();
+    let stats = domain.stats();
+    drop(handle);
+    let teardown = catch_unwind(AssertUnwindSafe(move || drop(domain)));
+    assert_eq!(
+        usize::from(pass.is_err()) + usize::from(teardown.is_err()),
+        1,
+        "the destructor's panic surfaces exactly once"
+    );
+    if pass.is_err() {
+        assert_eq!(stats.unreclaimed, 0, "the later pass freed the rest");
+    }
+    for (i, counter) in drops.iter().enumerate() {
+        assert_eq!(
+            counter.load(Ordering::SeqCst),
+            1,
+            "payload {i} dropped exactly once"
+        );
+    }
+}
+
+/// Reference equivalence of the run-grouped scan: blocks with the given
+/// `(alloc_era, retire_era)` stamps are retired in bursts, one burst before
+/// each pass, and each pass judges the batch against `snapshot_for(pass,
+/// live)`, where `live` lists the addresses of every block still retired.
+/// Every pass must free exactly the blocks a naive walk calling
+/// [`ReservationSet::covers`] on each block frees.
+///
+/// Odd bursts take the adoption path: they go onto a second batch that is
+/// scanned against the same snapshot and then appended, runs and all, as
+/// [`cleanup_pass`](crate::retired::cleanup_pass) does with an orphan batch.
+pub fn grouped_scan_matches_reference<S: ReservationSet>(
+    bursts: &[Vec<(u64, u64)>],
+    mut snapshot_for: impl FnMut(usize, &[usize]) -> S,
+) {
+    let mut main = RetiredBatch::new();
+    // (header, drop counter) of every block still retired.
+    let mut live: Vec<(*mut BlockHeader, Arc<AtomicUsize>)> = Vec::new();
+    let mut all = Vec::new();
+    for (pass, burst) in bursts.iter().enumerate() {
+        let mut side = RetiredBatch::new();
+        for &(alloc_era, retire_era) in burst {
+            let counter = Arc::new(AtomicUsize::new(0));
+            let block = Linked::as_header(Linked::alloc(DropCounter::new(&counter), alloc_era));
+            // SAFETY: freshly allocated, owned here, pushed onto one batch.
+            unsafe {
+                (*block).retire_era.store(retire_era, Ordering::Relaxed); // ORDER: single-threaded test; nothing pairs with it.
+                if pass % 2 == 0 {
+                    main.push(block);
+                } else {
+                    side.push(block);
+                }
+            }
+            live.push((block, Arc::clone(&counter)));
+            all.push(counter);
+        }
+        let addresses: Vec<usize> = live.iter().map(|&(block, _)| block as usize).collect();
+        let snapshot = snapshot_for(pass, &addresses);
+        // SAFETY: every live block is still on a batch, so its header is valid.
+        let expected: Vec<bool> = live
+            .iter()
+            .map(|&(block, _)| !snapshot.covers(unsafe { &*block }))
+            .collect();
+        let expected_freed = expected.iter().filter(|&&freed| freed).count();
+        // SAFETY: the snapshot was built after every push; nothing else
+        // references the blocks.
+        let freed = unsafe {
+            main.scan_against(&snapshot, None, None) + side.scan_against(&snapshot, None, None)
+        };
+        main.append(&mut side);
+        let mut survivors = Vec::new();
+        for ((block, counter), expect_freed) in live.drain(..).zip(expected) {
+            let dropped = counter.load(Ordering::SeqCst);
+            assert_eq!(
+                dropped,
+                usize::from(expect_freed),
+                "pass {pass}: block {block:p} freed {dropped} times, reference says {expect_freed}"
+            );
+            if !expect_freed {
+                survivors.push((block, counter));
+            }
+        }
+        live = survivors;
+        assert_eq!(freed, expected_freed, "pass {pass}: freed count");
+        assert_eq!(
+            main.len(),
+            live.len(),
+            "pass {pass}: len tracks the survivors"
+        );
+    }
+    // SAFETY: single-threaded; nothing references the remaining blocks.
+    unsafe { main.free_all() };
+    assert!(
+        all.iter()
+            .all(|counter| counter.load(Ordering::SeqCst) == 1),
+        "every block dropped exactly once"
+    );
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! cleanup). The batch protocol — the design of the Hazard Eras reference
 //! implementation and of Wen et al.'s IBR harness — snapshots all
 //! reservations **once** per cleanup pass into a reusable scratch structure
-//! and then judges the whole retired batch against that snapshot, so the
+//! and then judges the retired batch against that snapshot, so the
 //! per-block work drops to a binary search (or a single comparison).
 //!
 //! Safety of snapshotting once: every block in a batch was retired — and was
@@ -17,6 +17,32 @@
 //! withdrawn that protection. Adopted orphan batches preserve the same
 //! argument because they are popped from the orphan stack *before* the
 //! snapshot is taken (see [`crate::retired::OrphanStack`]).
+//!
+//! # Pins
+//!
+//! A snapshot does not just answer "is this block covered?": it names the
+//! reservation that covers it, a *pin* ([`ReservationSet::pinned_by`]). The
+//! retired batch groups the blocks a pass keeps into runs, one per pin, and
+//! on the next pass asks the new snapshot whether each pin
+//! [`still_pins`](ReservationSet::still_pins). A run whose pin holds is kept
+//! without touching its blocks; the rest are re-judged one by one (see
+//! [`crate::retired`]). That is exact — it frees the same blocks as judging
+//! every block — because of the *pin invariant*: `still_pins(pin)` implies
+//! that the new snapshot covers every block the pin covered in the old one.
+//! Era stamps never change after retirement, so the implication only has to
+//! hold per pin value:
+//!
+//! | snapshot | pin | `still_pins(pin)` |
+//! |---|---|---|
+//! | [`EraSnapshot`] (HE) | smallest recorded era in `[alloc_era, retire_era]` | the era is recorded again |
+//! | [`EpochSnapshot`] (EBR) | the oldest active epoch `m` (`m <= retire_era`) | the new oldest epoch is `<= m` |
+//! | [`HazardSnapshot`] (HP) | the block's address | the address is published again |
+//! | [`IntervalSnapshot`] (2GEIBR) | `0` (no exact pin) | never |
+//!
+//! WFE's three-phase snapshot follows the era rule phase by phase (see
+//! `wfe-core`). A 2GEIBR interval is two words that drift independently, so
+//! no single value names it exactly; its runs never survive a pass and every
+//! survivor is re-judged each time, as under a plain full walk.
 
 use crate::block::{BlockHeader, ERA_INF};
 
@@ -27,9 +53,23 @@ use crate::block::{BlockHeader, ERA_INF};
 /// drained against one via
 /// [`RetiredBatch::scan_against`](crate::retired::RetiredBatch::scan_against).
 pub trait ReservationSet {
-    /// Whether some reservation in the snapshot may still reach `block`
-    /// (the scheme's safety condition, evaluated against the snapshot).
-    fn covers(&self, block: &BlockHeader) -> bool;
+    /// A pin from this snapshot that covers `block` — the scheme's safety
+    /// condition, evaluated against the snapshot — or `None` when no
+    /// reservation in the snapshot may still reach it.
+    fn pinned_by(&self, block: &BlockHeader) -> Option<u64>;
+
+    /// Whether `pin`, returned by [`pinned_by`](Self::pinned_by) on an
+    /// earlier snapshot of the same domain, covers in this snapshot every
+    /// block it covered then (the pin invariant of the [module
+    /// docs](self)). Returning `false` is always safe: it only costs a
+    /// re-judgement.
+    fn still_pins(&self, pin: u64) -> bool;
+
+    /// Whether some reservation in the snapshot may still reach `block`.
+    #[inline]
+    fn covers(&self, block: &BlockHeader) -> bool {
+        self.pinned_by(block).is_some()
+    }
 }
 
 /// EBR scratch: only the *oldest* active epoch matters, so the snapshot is a
@@ -68,10 +108,16 @@ impl EpochSnapshot {
 
 impl ReservationSet for EpochSnapshot {
     #[inline]
-    fn covers(&self, block: &BlockHeader) -> bool {
+    fn pinned_by(&self, block: &BlockHeader) -> Option<u64> {
         // A block is pinned while some reader entered its operation at or
         // before the block's retirement epoch.
-        self.min_active <= block.retire_era()
+        (self.min_active <= block.retire_era()).then_some(self.min_active)
+    }
+
+    #[inline]
+    fn still_pins(&self, pin: u64) -> bool {
+        // Every block pinned by `pin` was retired at or after it.
+        self.min_active <= pin
     }
 }
 
@@ -103,17 +149,23 @@ impl EraSnapshot {
     }
 
     /// Sorts the recorded eras; must be called once after the last `insert`
-    /// and before the first `covers`/`covers_span` query.
+    /// and before the first query.
     pub fn seal(&mut self) {
         self.eras.sort_unstable();
         self.eras.dedup();
     }
 
-    /// Whether some recorded era falls inside `[alloc_era, retire_era]`.
+    /// The smallest recorded era inside `[alloc_era, retire_era]`, if any.
     #[inline]
-    pub fn covers_span(&self, alloc_era: u64, retire_era: u64) -> bool {
+    pub fn pin_span(&self, alloc_era: u64, retire_era: u64) -> Option<u64> {
         let idx = self.eras.partition_point(|&era| era < alloc_era);
-        idx < self.eras.len() && self.eras[idx] <= retire_era
+        self.eras.get(idx).copied().filter(|&era| era <= retire_era)
+    }
+
+    /// Whether `era` was recorded.
+    #[inline]
+    pub fn contains(&self, era: u64) -> bool {
+        self.eras.binary_search(&era).is_ok()
     }
 
     /// Number of distinct recorded eras.
@@ -129,8 +181,14 @@ impl EraSnapshot {
 
 impl ReservationSet for EraSnapshot {
     #[inline]
-    fn covers(&self, block: &BlockHeader) -> bool {
-        self.covers_span(block.alloc_era(), block.retire_era())
+    fn pinned_by(&self, block: &BlockHeader) -> Option<u64> {
+        self.pin_span(block.alloc_era(), block.retire_era())
+    }
+
+    #[inline]
+    fn still_pins(&self, pin: u64) -> bool {
+        // The pin lies inside the lifespan of every block it pinned.
+        self.contains(pin)
     }
 }
 
@@ -174,11 +232,18 @@ impl IntervalSnapshot {
 
 impl ReservationSet for IntervalSnapshot {
     #[inline]
-    fn covers(&self, block: &BlockHeader) -> bool {
+    fn pinned_by(&self, block: &BlockHeader) -> Option<u64> {
         let (alloc_era, retire_era) = (block.alloc_era(), block.retire_era());
         self.intervals
             .iter()
             .any(|&(lower, upper)| alloc_era <= upper && retire_era >= lower)
+            .then_some(0)
+    }
+
+    #[inline]
+    fn still_pins(&self, _pin: u64) -> bool {
+        // No exact pin (see the module docs): re-judge every survivor.
+        false
     }
 }
 
@@ -210,7 +275,7 @@ impl HazardSnapshot {
     }
 
     /// Sorts the recorded addresses; must be called once after the last
-    /// `insert` and before the first `covers` query.
+    /// `insert` and before the first query.
     pub fn seal(&mut self) {
         self.pointers.sort_unstable();
         self.pointers.dedup();
@@ -229,10 +294,14 @@ impl HazardSnapshot {
 
 impl ReservationSet for HazardSnapshot {
     #[inline]
-    fn covers(&self, block: &BlockHeader) -> bool {
-        self.pointers
-            .binary_search(&(block as *const BlockHeader as usize))
-            .is_ok()
+    fn pinned_by(&self, block: &BlockHeader) -> Option<u64> {
+        let addr = block as *const BlockHeader as usize;
+        self.still_pins(addr as u64).then_some(addr as u64)
+    }
+
+    #[inline]
+    fn still_pins(&self, pin: u64) -> bool {
+        self.pointers.binary_search(&(pin as usize)).is_ok()
     }
 }
 
@@ -267,10 +336,12 @@ mod tests {
                                        // SAFETY: test-owned live block(s); dereferenced and freed exactly once.
         unsafe {
             assert!(!snap.covers(&*Linked::as_header(old)));
-            assert!(snap.covers(&*Linked::as_header(pinned)));
+            assert_eq!(snap.pinned_by(&*Linked::as_header(pinned)), Some(5));
             Linked::dealloc(old);
             Linked::dealloc(pinned);
         }
+        // The pin holds while the oldest reader is no younger than it.
+        assert!(snap.still_pins(5) && snap.still_pins(9) && !snap.still_pins(4));
         snap.clear();
         assert_eq!(snap.min_active(), ERA_INF);
     }
@@ -286,12 +357,13 @@ mod tests {
         assert_eq!(snap.len(), 2);
         assert!(!snap.is_empty());
 
-        assert!(snap.covers_span(5, 10), "era 10 inside [5,10]");
-        assert!(snap.covers_span(10, 30), "both eras inside");
-        assert!(snap.covers_span(15, 25), "era 20 inside [15,25]");
-        assert!(!snap.covers_span(11, 19), "gap between the eras");
-        assert!(!snap.covers_span(21, 99), "after every era");
-        assert!(!snap.covers_span(1, 9), "before every era");
+        assert_eq!(snap.pin_span(5, 10), Some(10), "era 10 inside [5,10]");
+        assert_eq!(snap.pin_span(10, 30), Some(10), "the smallest era pins");
+        assert_eq!(snap.pin_span(15, 25), Some(20), "era 20 inside [15,25]");
+        assert_eq!(snap.pin_span(11, 19), None, "gap between the eras");
+        assert_eq!(snap.pin_span(21, 99), None, "after every era");
+        assert_eq!(snap.pin_span(1, 9), None, "before every era");
+        assert!(snap.still_pins(20) && !snap.still_pins(15));
 
         let block = block_with(15, 25);
         // SAFETY: test-owned live block(s); dereferenced and freed exactly once.
@@ -301,7 +373,7 @@ mod tests {
         }
         snap.clear();
         assert!(snap.is_empty());
-        assert!(!snap.covers_span(0, ERA_INF));
+        assert_eq!(snap.pin_span(0, ERA_INF), None);
     }
 
     #[test]
@@ -320,6 +392,7 @@ mod tests {
             Linked::dealloc(overlapping);
             Linked::dealloc(disjoint);
         }
+        assert!(!snap.still_pins(0), "no exact pin: survivors are re-judged");
         snap.clear();
         assert!(snap.is_empty());
     }
@@ -336,10 +409,11 @@ mod tests {
         assert_eq!(snap.len(), 1);
         // SAFETY: test-owned live block(s); dereferenced and freed exactly once.
         unsafe {
-            assert!(snap.covers(&*Linked::as_header(a)));
+            assert_eq!(snap.pinned_by(&*Linked::as_header(a)), Some(a as u64));
             assert!(!snap.covers(&*Linked::as_header(b)));
             Linked::dealloc(a);
             Linked::dealloc(b);
         }
+        assert!(snap.still_pins(a as u64) && !snap.still_pins(b as u64));
     }
 }

@@ -243,17 +243,27 @@ pub(crate) struct WfeSnapshot {
     recheck: EraSnapshot,
 }
 
+/// Pins follow the era rule of [`EraSnapshot`] phase by phase: the smallest
+/// covering era of `primary`, else — only when a slow path may be in flight
+/// — of `handover`, else of `recheck`. `still_pins` accepts an era exactly
+/// when `covers` would accept a block whose lifespan holds only that era, so
+/// a kept run is one the Figure-4 check would keep block by block and the
+/// scan-order argument (Lemmas 4–5) is unchanged.
 impl ReservationSet for WfeSnapshot {
-    fn covers(&self, block: &BlockHeader) -> bool {
+    fn pinned_by(&self, block: &BlockHeader) -> Option<u64> {
         let (alloc_era, retire_era) = (block.alloc_era(), block.retire_era());
-        if self.primary.covers_span(alloc_era, retire_era) {
-            return true;
+        let pin = self.primary.pin_span(alloc_era, retire_era);
+        if pin.is_some() || self.quiescent {
+            return pin;
         }
-        if self.quiescent {
-            return false;
-        }
-        self.handover.covers_span(alloc_era, retire_era)
-            || self.recheck.covers_span(alloc_era, retire_era)
+        self.handover
+            .pin_span(alloc_era, retire_era)
+            .or_else(|| self.recheck.pin_span(alloc_era, retire_era))
+    }
+
+    fn still_pins(&self, pin: u64) -> bool {
+        self.primary.contains(pin)
+            || (!self.quiescent && (self.handover.contains(pin) || self.recheck.contains(pin)))
     }
 }
 
@@ -341,7 +351,68 @@ impl core::fmt::Debug for Wfe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use wfe_reclaim::conformance::grouped_scan_matches_reference;
     use wfe_reclaim::{Atomic, Handle, Linked, RawHandle};
+
+    /// Reservations of one snapshot phase across passes: those that appear
+    /// for the pass, and which earlier ones persist (bit `i` of the mask
+    /// keeps the `i`-th, modulo 64).
+    type Phase = (Vec<u64>, u64);
+
+    fn phase() -> impl Strategy<Value = Phase> {
+        (proptest::collection::vec(0u64..64, 0..3), any::<u64>())
+    }
+
+    /// Withdraws the reservations whose bit in `keep` is clear, publishes
+    /// `appear`, and seals the result into `snapshot`.
+    fn evolve(active: &mut Vec<u64>, (appear, keep): &Phase, snapshot: &mut EraSnapshot) {
+        let mut index = 0;
+        active.retain(|_| {
+            index += 1;
+            keep >> (index % 64) & 1 == 1
+        });
+        active.extend_from_slice(appear);
+        snapshot.clear();
+        active.iter().for_each(|&era| snapshot.insert(era));
+        snapshot.seal();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The run-grouped scan frees exactly what the Figure-4 check frees
+        /// block by block, with `quiescent` drawn per pass so that both
+        /// values and the transitions between them occur.
+        #[test]
+        fn wfe_snapshot_runs_match_reference(
+            script in proptest::collection::vec(
+                (
+                    proptest::collection::vec(
+                        (0u64..48, 0u64..12).prop_map(|(alloc, span)| (alloc, alloc + span)),
+                        0..10,
+                    ),
+                    (phase(), phase(), phase()),
+                    any::<bool>(),
+                ),
+                1..12,
+            )
+        ) {
+            let bursts: Vec<_> = script.iter().map(|pass| pass.0.clone()).collect();
+            let mut active: [Vec<u64>; 3] = Default::default();
+            grouped_scan_matches_reference(&bursts, |pass, _| {
+                let (_, (primary, handover, recheck), quiescent) = &script[pass];
+                let mut snapshot = WfeSnapshot { quiescent: *quiescent, ..Default::default() };
+                evolve(&mut active[0], primary, &mut snapshot.primary);
+                // A quiescent pass does not read the helper columns.
+                if !snapshot.quiescent {
+                    evolve(&mut active[1], handover, &mut snapshot.handover);
+                    evolve(&mut active[2], recheck, &mut snapshot.recheck);
+                }
+                snapshot
+            });
+        }
+    }
 
     #[test]
     fn reservation_row_has_two_extra_internal_slots() {

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use wfe_suite::wfe_reclaim::conformance;
+use wfe_suite::wfe_reclaim::conformance::{self, PinReach};
 use wfe_suite::{
     Atomic, CrTurnQueue, Ebr, Handle, He, Hp, Ibr2Ge, Leak, RawHandle, Reclaimer, ReclaimerConfig,
     ResizableHashMap, Wfe,
@@ -23,10 +23,11 @@ use wfe_suite::{
 /// bound and live orphan adoption do not apply to it (its orphans are instead
 /// asserted to survive until domain drop); `Ebr`/`Ibr2Ge` get no bound either
 /// (epoch advance is batched, so the single-threaded-churn bound is
-/// scheme-specific).
+/// scheme-specific). `reach` is how far one held reservation pins blocks,
+/// which fixes the exact drop counts of the stalled-reader scenario.
 macro_rules! conformance_smoke {
     ($module:ident, $scheme:ty, protection: $protection:expr, bound: $bound:expr,
-     adoption: $adoption:expr) => {
+     adoption: $adoption:expr, reach: $reach:expr) => {
         mod $module {
             use super::*;
 
@@ -63,16 +64,42 @@ macro_rules! conformance_smoke {
             fn orphan_adoption_reclaims_exited_threads_blocks() {
                 conformance::orphan_adoption_reclaims_exited_threads_blocks::<$scheme>($adoption);
             }
+
+            #[test]
+            fn stalled_pin_then_release() {
+                conformance::stalled_pin_then_release::<$scheme>($reach, false);
+            }
+
+            #[test]
+            fn stalled_pin_then_release_orphaned() {
+                conformance::stalled_pin_then_release::<$scheme>($reach, true);
+            }
+
+            #[test]
+            fn panicking_destructor_is_contained_cache_on() {
+                conformance::panicking_destructor_is_contained::<$scheme>(true);
+            }
+
+            #[test]
+            fn panicking_destructor_is_contained_cache_off() {
+                conformance::panicking_destructor_is_contained::<$scheme>(false);
+            }
         }
     };
 }
 
-conformance_smoke!(ebr, Ebr, protection: true, bound: None, adoption: true);
-conformance_smoke!(hp, Hp, protection: true, bound: Some(2_000), adoption: true);
-conformance_smoke!(he, He, protection: true, bound: Some(4_000), adoption: true);
-conformance_smoke!(ibr2ge, Ibr2Ge, protection: true, bound: None, adoption: true);
-conformance_smoke!(leak, Leak, protection: false, bound: None, adoption: false);
-conformance_smoke!(wfe, Wfe, protection: true, bound: Some(4_000), adoption: true);
+conformance_smoke!(ebr, Ebr, protection: true, bound: None, adoption: true,
+                   reach: PinReach::Epoch);
+conformance_smoke!(hp, Hp, protection: true, bound: Some(2_000), adoption: true,
+                   reach: PinReach::Pointer);
+conformance_smoke!(he, He, protection: true, bound: Some(4_000), adoption: true,
+                   reach: PinReach::Lifespan);
+conformance_smoke!(ibr2ge, Ibr2Ge, protection: true, bound: None, adoption: true,
+                   reach: PinReach::Lifespan);
+conformance_smoke!(leak, Leak, protection: false, bound: None, adoption: false,
+                   reach: PinReach::Never);
+conformance_smoke!(wfe, Wfe, protection: true, bound: Some(4_000), adoption: true,
+                   reach: PinReach::Lifespan);
 
 /// CRTurn-specific conformance: the queue composes with every scheme. A
 /// short two-thread producer/consumer run plus a drain must conserve every
