@@ -163,12 +163,19 @@ impl<T: Copy, R: Reclaimer> CrTurnQueue<T, R> {
         let enqueuers = (0..max_threads).map(|_| Atomic::null()).collect();
         // Distinct dummy nodes per thread so every request starts *closed*
         // (`deqself[tid] != deqhelp[tid]`); the dummies are retired like any
-        // other request marker once the thread dequeues.
+        // other request marker once the thread dequeues. The initial
+        // sentinel doubles as thread 0's first `deqhelp` marker, so it has
+        // an owner like every granted node: thread 0 retires it as `pr_req`
+        // at the end of its second successful dequeue, when the head has
+        // moved past it. Without an owner it leaked once the head left it.
         let deqself = (0..max_threads)
             .map(|_| Atomic::new(handle.alloc(Node::new(None, 0))))
             .collect();
         let deqhelp = (0..max_threads)
-            .map(|_| Atomic::new(handle.alloc(Node::new(None, 0))))
+            .map(|tid| match tid {
+                0 => Atomic::new(sentinel),
+                _ => Atomic::new(handle.alloc(Node::new(None, 0))),
+            })
             .collect();
         drop(handle);
         Self {

@@ -454,6 +454,39 @@ pub fn unreclaimed_is_bounded<R: Reclaimer>(bound: u64) {
     drop(handle);
 }
 
+/// For schemes with an era clock (HE, 2GEIBR, EBR, WFE): a handle's
+/// allocations advance the clock exactly once every `era_freq` of them (ν
+/// in §5), and each block is stamped with the era current after that step.
+pub fn era_advances_every_era_freq_allocs<R: Reclaimer>() {
+    const ERA_FREQ: usize = 10;
+    let domain = R::with_config(ReclaimerConfig {
+        era_freq: ERA_FREQ,
+        ..ReclaimerConfig::with_max_threads(2)
+    });
+    let mut handle = domain.register();
+    let start = domain.stats().era;
+    for allocs in 1..=10 * ERA_FREQ {
+        let ptr = handle.alloc(0u64);
+        // SAFETY: `ptr` is a live block that was never published or retired,
+        // so reading its header and freeing it once here is sound.
+        let alloc_era = unsafe {
+            let alloc_era = (*Linked::as_header(ptr)).alloc_era();
+            Linked::dealloc(ptr);
+            alloc_era
+        };
+        let expected = start + (allocs / ERA_FREQ) as u64;
+        assert_eq!(
+            domain.stats().era,
+            expected,
+            "era after {allocs} allocations"
+        );
+        assert_eq!(
+            alloc_era, expected,
+            "block {allocs} stamped with the current era"
+        );
+    }
+}
+
 /// How far one held reservation reaches under a scheme. It fixes the exact
 /// set of blocks [`stalled_pin_then_release`] expects cleanup passes to keep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -873,6 +873,22 @@ mod tests {
         );
     }
 
+    /// Frees test-owned blocks when dropped — also while a `should_panic`
+    /// test unwinds, so the deliberate panic leaks nothing.
+    #[cfg(debug_assertions)]
+    struct FreeOnDrop(Vec<*mut Linked<u64>>);
+
+    #[cfg(debug_assertions)]
+    impl Drop for FreeOnDrop {
+        fn drop(&mut self) {
+            for &block in &self.0 {
+                // SAFETY: each block was allocated by the test, never retired,
+                // and is freed exactly once, here.
+                unsafe { Linked::dealloc(block) };
+            }
+        }
+    }
+
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "stale Protected")]
@@ -884,6 +900,7 @@ mod tests {
         let b = handle.alloc(2u64);
         let root_a: Atomic<u64> = Atomic::new(a);
         let root_b: Atomic<u64> = Atomic::new(b);
+        let _free = FreeOnDrop(vec![a, b]);
         let guard = handle.enter();
         let stale = shield.protect(&guard, &root_a, None);
         let fresh = shield.protect(&guard, &root_b, None);
@@ -906,6 +923,7 @@ mod tests {
         let table = Arc::clone(handle.shield_slots());
         let node = handle.alloc(7u64);
         let root: Atomic<u64> = Atomic::new(node);
+        let _free = FreeOnDrop(vec![node]);
         let guard = handle.enter();
         let stale = shield.protect(&guard, &root, None);
         drop(shield);

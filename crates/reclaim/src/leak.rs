@@ -8,154 +8,72 @@
 //! (a dropping handle pushes its batch onto the orphan stack) and freed when
 //! the domain itself is dropped; during the measured run this behaves exactly
 //! like leaking — live threads never run a cleanup pass, so they never adopt.
+//!
+//! The scheme is [`LeakScheme`] on the shared [`Domain`] skeleton with
+//! [`Scheme::RECLAIMS`] and [`Scheme::CLOCKED`] off: no reservations, no
+//! cleanup pass, no cache tier and no era clock.
 
-use std::sync::Arc;
 use wfe_sync::atomic::{AtomicUsize, Ordering};
 
-use crate::api::{debug_assert_slot_index, Progress, RawHandle, Reclaimer, ReclaimerConfig};
+use crate::api::{DomainConfig, Progress};
 use crate::block::BlockHeader;
-use crate::guard::ShieldSlots;
-use crate::registry::ThreadRegistry;
-use crate::retired::{OrphanStack, RetiredBatch};
-use crate::stats::{Counters, SmrStats};
+use crate::domain::{Domain, Scheme, SchemeHandle};
+use crate::scan::ReservationSet;
 
 /// The leak-memory domain.
-pub struct Leak {
-    config: ReclaimerConfig,
-    registry: ThreadRegistry,
-    counters: Counters,
-    orphans: OrphanStack,
-}
-
-impl Reclaimer for Leak {
-    type Handle = LeakHandle;
-
-    fn with_config(config: ReclaimerConfig) -> Arc<Self> {
-        Arc::new(Self {
-            registry: config.build_registry(),
-            counters: Counters::new(),
-            orphans: OrphanStack::new(),
-            config,
-        })
-    }
-
-    fn try_register(self: &Arc<Self>) -> Option<LeakHandle> {
-        let tid = self.registry.try_acquire()?;
-        Some(LeakHandle {
-            shield_slots: ShieldSlots::new(self.config.slots_per_thread),
-            domain: Arc::clone(self),
-            tid,
-            retired: RetiredBatch::new(),
-        })
-    }
-
-    fn name() -> &'static str {
-        "Leak"
-    }
-
-    fn progress() -> Progress {
-        Progress::None
-    }
-
-    fn stats(&self) -> SmrStats {
-        self.counters.snapshot(0)
-    }
-
-    fn config(&self) -> &ReclaimerConfig {
-        &self.config
-    }
-
-    fn registry(&self) -> &ThreadRegistry {
-        &self.registry
-    }
-}
-
-impl Drop for Leak {
-    fn drop(&mut self) {
-        // SAFETY: no handle can exist any more, and Leak never frees while running,
-        // so every parked block is unreachable; domain drop is the one free point.
-        unsafe {
-            self.orphans.free_all();
-        }
-    }
-}
-
-impl core::fmt::Debug for Leak {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Leak")
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
+pub type Leak = Domain<LeakScheme>;
 
 /// Per-thread leak-memory handle.
-pub struct LeakHandle {
-    /// Lease table for this handle's [`Shield`](crate::Shield)s. Leak never
-    /// reclaims, but leases keep data structures scheme-generic.
-    shield_slots: Arc<ShieldSlots>,
-    domain: Arc<Leak>,
-    tid: usize,
-    retired: RetiredBatch,
+pub type LeakHandle = SchemeHandle<LeakScheme>;
+
+/// The leak-memory policy: nothing to publish, nothing ever freed.
+pub struct LeakScheme;
+
+/// Leak's reservation set: every block counts as pinned. No cleanup pass
+/// ever consults it (Leak does not reclaim); it only types the handle's
+/// scratch.
+#[derive(Debug, Default)]
+pub struct PinsEverything;
+
+impl ReservationSet for PinsEverything {
+    fn pinned_by(&self, _block: &BlockHeader) -> Option<u64> {
+        Some(0)
+    }
+
+    fn still_pins(&self, _pin: u64) -> bool {
+        true
+    }
 }
 
 // SAFETY: nothing is ever freed while the domain lives, so every pointer
-// trivially satisfies the `RawHandle` validity contract.
-unsafe impl RawHandle for LeakHandle {
-    fn thread_id(&self) -> usize {
-        self.tid
+// trivially satisfies the validity contract without a reservation.
+unsafe impl Scheme for LeakScheme {
+    const NAME: &'static str = "Leak";
+    const PROGRESS: Progress = Progress::None;
+    const CLOCKED: bool = false;
+    const RECLAIMS: bool = false;
+    type Snapshot = PinsEverything;
+
+    fn new(_config: &DomainConfig) -> Self {
+        Self
     }
 
-    fn slots(&self) -> usize {
-        self.domain.config.slots_per_thread
-    }
+    #[inline]
+    fn clear(_domain: &Leak, _tid: usize) {}
 
-    fn shield_slots(&self) -> &Arc<ShieldSlots> {
-        &self.shield_slots
-    }
-
-    fn begin_op(&mut self) {}
-
-    fn end_op(&mut self) {}
-
-    fn protect_raw(
-        &mut self,
+    #[inline]
+    fn protect(
+        _domain: &Leak,
+        _tid: usize,
         src: &AtomicUsize,
-        index: usize,
+        _index: usize,
         _parent: *mut BlockHeader,
         _mask: usize,
     ) -> usize {
-        // Nothing is ever reclaimed, so no reservation is needed — but a
-        // stray index is still a caller bug: check it uniformly.
-        debug_assert_slot_index(index, self.slots());
         src.load(Ordering::Acquire) // ORDER: pairs with the Release publish of the pointer being protected.
     }
 
-    // SAFETY: contract inherited from the trait declaration (`# Safety`
-    // on `RawHandle::retire_raw`); the obligations are the caller's.
-    unsafe fn retire_raw(&mut self, block: *mut BlockHeader) {
-        // SAFETY: forwarded `retire_raw` contract — `block` is valid,
-        // unreachable and retired exactly once.
-        unsafe { self.retired.push(block) };
-        self.domain.counters.on_retire();
-    }
-
-    fn clear(&mut self) {}
-
-    fn pre_alloc(&mut self) -> u64 {
-        self.domain.counters.on_alloc();
-        0
-    }
-
-    fn force_cleanup(&mut self) {
-        // Leaking means never cleaning up.
-    }
-}
-
-impl Drop for LeakHandle {
-    fn drop(&mut self) {
-        self.domain.orphans.push(self.retired.take());
-        self.domain.registry.release(self.tid);
-    }
+    fn fill_snapshot(_domain: &Leak, _snapshot: &mut PinsEverything) {}
 }
 
 #[cfg(test)]
@@ -163,6 +81,7 @@ mod tests {
     use super::*;
     use crate::conformance;
     use crate::Handle;
+    use crate::{RawHandle, Reclaimer, ReclaimerConfig};
 
     #[test]
     fn naming_and_progress() {
@@ -204,5 +123,6 @@ mod tests {
         assert_eq!(stats.retired, 50);
         assert_eq!(stats.freed, 0);
         assert_eq!(stats.unreclaimed, 50);
+        assert_eq!(stats.era, 0, "Leak has no era clock");
     }
 }

@@ -35,6 +35,7 @@ pub mod api;
 pub mod block;
 pub mod cache;
 pub mod conformance;
+pub mod domain;
 pub mod ebr;
 pub mod guard;
 pub mod he;
@@ -55,6 +56,7 @@ pub use api::{
 };
 pub use block::{BlockHeader, Linked, ERA_INF, INVPTR};
 pub use cache::{BlockCacheConfig, BlockCaches, LocalBlockCache, ShardCache, SizeClass};
+pub use domain::{Domain, Scheme, SchemeHandle};
 pub use ebr::Ebr;
 pub use guard::{Guard, Protected, Shield, ShieldError, ShieldSlots};
 pub use he::He;

@@ -74,9 +74,15 @@ pub trait ReservationSet {
 
 /// EBR scratch: only the *oldest* active epoch matters, so the snapshot is a
 /// single word.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EpochSnapshot {
     min_active: u64,
+}
+
+impl Default for EpochSnapshot {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl EpochSnapshot {

@@ -78,7 +78,7 @@ mod domain;
 mod handle;
 mod state;
 
-pub use domain::Wfe;
+pub use domain::{Wfe, WfeScheme};
 pub use handle::WfeHandle;
 
 // Executor-friendly pooled handles work with every scheme, WFE included; the

@@ -18,16 +18,17 @@ use wfe_suite::{
 
 /// Instantiates the conformance battery for one scheme.
 ///
-/// `protection`, `bound` and `adoption` are opt-outs: `Leak` never reclaims,
+/// `protection`, `bound`, `adoption` and `clock` are opt-outs: `Leak` never reclaims,
 /// so "dropping the protection allows reclamation", the unreclaimed-memory
 /// bound and live orphan adoption do not apply to it (its orphans are instead
 /// asserted to survive until domain drop); `Ebr`/`Ibr2Ge` get no bound either
 /// (epoch advance is batched, so the single-threaded-churn bound is
-/// scheme-specific). `reach` is how far one held reservation pins blocks,
+/// scheme-specific); `Hp` and `Leak` run no era clock, so the `era_freq`
+/// cadence does not apply to them. `reach` is how far one held reservation pins blocks,
 /// which fixes the exact drop counts of the stalled-reader scenario.
 macro_rules! conformance_smoke {
     ($module:ident, $scheme:ty, protection: $protection:expr, bound: $bound:expr,
-     adoption: $adoption:expr, reach: $reach:expr) => {
+     adoption: $adoption:expr, clock: $clock:expr, reach: $reach:expr) => {
         mod $module {
             use super::*;
 
@@ -66,6 +67,13 @@ macro_rules! conformance_smoke {
             }
 
             #[test]
+            fn era_advances_every_era_freq_allocs() {
+                if $clock {
+                    conformance::era_advances_every_era_freq_allocs::<$scheme>();
+                }
+            }
+
+            #[test]
             fn stalled_pin_then_release() {
                 conformance::stalled_pin_then_release::<$scheme>($reach, false);
             }
@@ -89,17 +97,17 @@ macro_rules! conformance_smoke {
 }
 
 conformance_smoke!(ebr, Ebr, protection: true, bound: None, adoption: true,
-                   reach: PinReach::Epoch);
+                   clock: true, reach: PinReach::Epoch);
 conformance_smoke!(hp, Hp, protection: true, bound: Some(2_000), adoption: true,
-                   reach: PinReach::Pointer);
+                   clock: false, reach: PinReach::Pointer);
 conformance_smoke!(he, He, protection: true, bound: Some(4_000), adoption: true,
-                   reach: PinReach::Lifespan);
+                   clock: true, reach: PinReach::Lifespan);
 conformance_smoke!(ibr2ge, Ibr2Ge, protection: true, bound: None, adoption: true,
-                   reach: PinReach::Lifespan);
+                   clock: true, reach: PinReach::Lifespan);
 conformance_smoke!(leak, Leak, protection: false, bound: None, adoption: false,
-                   reach: PinReach::Never);
+                   clock: false, reach: PinReach::Never);
 conformance_smoke!(wfe, Wfe, protection: true, bound: Some(4_000), adoption: true,
-                   reach: PinReach::Lifespan);
+                   clock: true, reach: PinReach::Lifespan);
 
 /// CRTurn-specific conformance: the queue composes with every scheme. A
 /// short two-thread producer/consumer run plus a drain must conserve every
