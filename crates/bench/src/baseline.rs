@@ -119,19 +119,7 @@ mod tests {
             threads: 2,
             mops: 1.5,
             avg_unreclaimed: 12.0,
-            adopted_batches: 0.0,
-            freed_via_adoption: 0.0,
-            shards: 1,
-            avg_occupied_shards: 1.0,
-            pool_hit_rate: 0.0,
-            tasks: 0,
-            unreclaimed_bytes: 0.0,
-            cache_hits: 0.0,
-            cache_misses: 0.0,
-            cached_bytes: 0.0,
-            load_factor: 0.0,
-            resizes: 0.0,
-            migrated_buckets: 0.0,
+            metrics: vec![("shards", 1.0), ("avg_occupied_shards", 1.0)],
         }
     }
 

@@ -6,17 +6,17 @@
 //!         [--tasks 500,2000] [--block-cache on|off] [--baseline-json PATH]
 //! ```
 //!
-//! With no figure argument every figure (and both ablations) is run. Output
+//! With no figure argument every figure (and the ablation) is run. Output
 //! is CSV on stdout, one row per measured point:
-//! `figure,structure,workload,scheme,threads,mops,avg_unreclaimed,`
-//! `adopted_batches,freed_via_adoption,shards,avg_occupied_shards,`
-//! `pool_hit_rate,tasks,unreclaimed_bytes,cache_hits,cache_misses,`
-//! `cached_bytes,load_factor,resizes,migrated_buckets`
-//! (`tasks`/`unreclaimed_bytes` are filled by the `kv-async` figure, whose
-//! swept axis is the task count; the cache counters are live wherever the
-//! per-shard block cache is enabled; the last three columns are filled by
-//! the `kv-service` figure's resizable map and are 0 for fixed-capacity
-//! structures).
+//! `figure,structure,workload,scheme,threads,mops,avg_unreclaimed,metrics`,
+//! where `metrics` holds the point's other metrics as `name=value` pairs
+//! joined by `;` (see [`DataPoint`]): the base metrics every runner records
+//! (`shards`, `avg_occupied_shards`, `adopted_batches`,
+//! `freed_via_adoption`, `cache_hits`, `cache_misses`, `cached_bytes`) plus
+//! `pool_hit_rate` for `kv-pool` and `kv-async`, `tasks` and
+//! `unreclaimed_bytes` for `kv-async` (whose swept axis is the task count),
+//! and `load_factor`, `resizes` and `migrated_buckets` for the `kv-service`
+//! figure's resizable map.
 //!
 //! `--block-cache on|off` pins the per-shard block cache for every domain the
 //! sweep builds; without it, domains use the library default and the
@@ -39,6 +39,8 @@ fn print_usage() {
         "usage: figures [FIGURE ...] [options]\n\
          \n\
          figures: {}  (default: all)\n\
+         output: CSV rows figure,structure,workload,scheme,threads,mops,avg_unreclaimed,metrics\n\
+         \x20        (metrics: name=value pairs joined by ';')\n\
          options:\n\
            --paper           full paper methodology (10 s x 5 runs, 50k prefill, up to 120 threads)\n\
            --smoke           tiny smoke-test parameters\n\

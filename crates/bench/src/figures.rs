@@ -15,26 +15,31 @@
 //! figure and its companion unreclaimed-objects figure come from the same
 //! rows (exactly as in the paper, where each experiment produces both plots).
 //!
-//! Six additions beyond the paper are included: forcing the WFE slow path
-//! (`AblationSlowPath`), sweeping the number of fast-path attempts
-//! (`AblationAttempts`), a Michael-Scott queue baseline
-//! (`QueueBaseline`) so the wait-free CRTurn queue can be compared against
-//! the classic lock-free queue in the same sweep
-//! (`figures fig5cd queue-baseline`), an executor-style pooled-handle
-//! run (`KvPool`): the Michael hash map driven through a `HandlePool` at
-//! high task churn, whose rows carry per-shard occupancy and the pool hit
-//! rate (`figures kv-pool`), and an *async-task* run (`KvAsync`): the same
-//! map driven by tens of thousands of short-lived futures on a `mini-rt`
-//! executor through `Send`-able `wfe-task` handles, with one stalled raw-SPI
-//! reader injected for the whole run — its rows sweep the task count and
-//! carry the pool hit rate and the unreclaimed gauge in bytes, showing EBR's
-//! unreclaimed memory growing with the task count while WFE/HE stay bounded
-//! (`figures kv-async`), and a block-cache A/B run (`CrossShardChurn`): the
-//! write-dominated hash map on a sharded registry, measured once with the
-//! per-shard block cache on and once with it off — its rows carry the cache
-//! hit/miss counters, so the retire→free→alloc recycling win is visible
-//! directly (`figures cross-shard-churn`; pin one mode with
-//! `--block-cache on|off`).
+//! Six additions beyond the paper are included:
+//!
+//! * `ablation-attempts` (`AblationAttempts`): a sweep of WFE fast-path
+//!   attempts on the hash map; 1 attempt forces the slow path, 16 is the
+//!   default.
+//! * `queue-baseline` (`QueueBaseline`): the Michael-Scott lock-free queue,
+//!   so the wait-free CRTurn queue can be compared against it in the same
+//!   sweep (`figures fig5cd queue-baseline`).
+//! * `kv-pool` (`KvPool`): the Michael hash map driven through a
+//!   `HandlePool` at high task churn; rows add the pool hit rate.
+//! * `kv-async` (`KvAsync`): the same map driven by tens of thousands of
+//!   short-lived futures on a `mini-rt` executor through `Send`-able
+//!   `wfe-task` handles, with one stalled raw-SPI reader injected for the
+//!   whole run. Rows sweep the task count and add the pool hit rate and the
+//!   unreclaimed gauge in bytes, showing EBR's unreclaimed memory growing
+//!   with the task count while WFE/HE stay bounded.
+//! * `cross-shard-churn` (`CrossShardChurn`): the write-dominated hash map on
+//!   a sharded registry, once with the per-shard block cache on and once
+//!   off, so the retire→free→alloc recycling win shows in the cache
+//!   counters (pin one mode with `--block-cache on|off`).
+//! * `kv-service` (`KvService`): the resizable hash map as a kv service;
+//!   rows add its resize accounting.
+//!
+//! Every point is measured by one generic runner call; `with_reclaimer!`
+//! is the one place a [`Scheme`] is turned into a reclaimer type.
 
 use wfe_core::Wfe;
 use wfe_ds::{
@@ -44,9 +49,7 @@ use wfe_ds::{
 use wfe_reclaim::{Ebr, He, Hp, Ibr2Ge, Leak, Reclaimer};
 
 use crate::params::BenchParams;
-use crate::runner::{
-    run_async_kv, run_churn_map, run_kv_service, run_map, run_pooled_map, run_queue, DataPoint,
-};
+use crate::runner::{run_async_kv, run_kv_service, run_map, run_pooled_map, run_queue, DataPoint};
 use crate::workload::{MapWorkload, ServiceWorkload};
 
 /// The reclamation schemes compared in every figure.
@@ -97,230 +100,37 @@ impl Scheme {
     }
 }
 
-/// The key-value structures of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MapKind {
-    /// Harris-Michael sorted linked list.
-    List,
-    /// Michael hash map.
-    HashMap,
-    /// Natarajan-Mittal BST.
-    Bst,
-}
-
-impl MapKind {
-    fn name(self) -> &'static str {
-        match self {
-            MapKind::List => "list",
-            MapKind::HashMap => "hashmap",
-            MapKind::Bst => "bst",
+/// Evaluates `$body` with a type alias `R` bound to the reclaimer of
+/// `$scheme` — the one place a [`Scheme`] value becomes a type.
+macro_rules! with_reclaimer {
+    ($scheme:expr, $body:expr) => {
+        match $scheme {
+            Scheme::Wfe => {
+                type R = Wfe;
+                $body
+            }
+            Scheme::Ebr => {
+                type R = Ebr;
+                $body
+            }
+            Scheme::He => {
+                type R = He;
+                $body
+            }
+            Scheme::Hp => {
+                type R = Hp;
+                $body
+            }
+            Scheme::Ibr => {
+                type R = Ibr2Ge;
+                $body
+            }
+            Scheme::Leak => {
+                type R = Leak;
+                $body
+            }
         }
-    }
-}
-
-/// The queue structures of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Kogan-Petrank wait-free queue (Figure 5a/5b).
-    KoganPetrank,
-    /// Ramalhete-Correia CRTurn wait-free queue (Figure 5c/5d).
-    CrTurn,
-    /// Michael-Scott lock-free queue (baseline beyond the paper).
-    MsQueue,
-}
-
-impl QueueKind {
-    fn name(self) -> &'static str {
-        match self {
-            QueueKind::KoganPetrank => "kp-queue",
-            QueueKind::CrTurn => "crturn",
-            QueueKind::MsQueue => "msqueue",
-        }
-    }
-}
-
-fn map_point_for<R: Reclaimer>(
-    scheme: &'static str,
-    map: MapKind,
-    workload: MapWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    match map {
-        MapKind::List => {
-            run_map::<R, MichaelList<u64, R>>(scheme, map.name(), workload, threads, params)
-        }
-        MapKind::HashMap => {
-            run_map::<R, MichaelHashMap<u64, R>>(scheme, map.name(), workload, threads, params)
-        }
-        MapKind::Bst => {
-            run_map::<R, NatarajanBst<u64, R>>(scheme, map.name(), workload, threads, params)
-        }
-    }
-}
-
-/// Measures one map data point for one scheme.
-pub fn run_map_point(
-    scheme: Scheme,
-    map: MapKind,
-    workload: MapWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    let name = scheme.name();
-    match scheme {
-        Scheme::Wfe => map_point_for::<Wfe>(name, map, workload, threads, params),
-        Scheme::Ebr => map_point_for::<Ebr>(name, map, workload, threads, params),
-        Scheme::He => map_point_for::<He>(name, map, workload, threads, params),
-        Scheme::Hp => map_point_for::<Hp>(name, map, workload, threads, params),
-        Scheme::Ibr => map_point_for::<Ibr2Ge>(name, map, workload, threads, params),
-        Scheme::Leak => map_point_for::<Leak>(name, map, workload, threads, params),
-    }
-}
-
-fn queue_point_for<R: Reclaimer>(
-    scheme: &'static str,
-    queue: QueueKind,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    match queue {
-        QueueKind::KoganPetrank => {
-            run_queue::<R, KoganPetrankQueue<u64, R>>(scheme, queue.name(), threads, params)
-        }
-        QueueKind::CrTurn => {
-            run_queue::<R, CrTurnQueue<u64, R>>(scheme, queue.name(), threads, params)
-        }
-        QueueKind::MsQueue => {
-            run_queue::<R, MichaelScottQueue<u64, R>>(scheme, queue.name(), threads, params)
-        }
-    }
-}
-
-fn pooled_point_for<R: Reclaimer>(
-    scheme: &'static str,
-    workload: MapWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    run_pooled_map::<R, MichaelHashMap<u64, R>>(scheme, "hashmap", workload, threads, params)
-}
-
-/// Measures one pooled-handle hash-map data point for one scheme
-/// (the `kv-pool` figure).
-pub fn run_pooled_point(
-    scheme: Scheme,
-    workload: MapWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    let name = scheme.name();
-    match scheme {
-        Scheme::Wfe => pooled_point_for::<Wfe>(name, workload, threads, params),
-        Scheme::Ebr => pooled_point_for::<Ebr>(name, workload, threads, params),
-        Scheme::He => pooled_point_for::<He>(name, workload, threads, params),
-        Scheme::Hp => pooled_point_for::<Hp>(name, workload, threads, params),
-        Scheme::Ibr => pooled_point_for::<Ibr2Ge>(name, workload, threads, params),
-        Scheme::Leak => pooled_point_for::<Leak>(name, workload, threads, params),
-    }
-}
-
-fn async_point_for<R: Reclaimer>(
-    scheme: &'static str,
-    tasks: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    run_async_kv::<R, MichaelHashMap<u64, R>>(scheme, "hashmap", tasks, params)
-}
-
-/// Measures one async-task hash-map data point for one scheme
-/// (the `kv-async` figure; the swept axis is the task count).
-pub fn run_async_point(scheme: Scheme, tasks: usize, params: &BenchParams) -> DataPoint {
-    let name = scheme.name();
-    match scheme {
-        Scheme::Wfe => async_point_for::<Wfe>(name, tasks, params),
-        Scheme::Ebr => async_point_for::<Ebr>(name, tasks, params),
-        Scheme::He => async_point_for::<He>(name, tasks, params),
-        Scheme::Hp => async_point_for::<Hp>(name, tasks, params),
-        Scheme::Ibr => async_point_for::<Ibr2Ge>(name, tasks, params),
-        Scheme::Leak => async_point_for::<Leak>(name, tasks, params),
-    }
-}
-
-fn service_point_for<R: Reclaimer>(
-    scheme: &'static str,
-    workload: ServiceWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    run_kv_service::<R, ResizableHashMap<u64, R>>(scheme, "resizable", workload, threads, params)
-}
-
-/// Measures one kv-service data point for one scheme: the split-ordered
-/// resizable hash map under a service-shaped leg (Zipfian read-mostly or
-/// write-heavy, TTL expiry, or resize storm).
-pub fn run_service_point(
-    scheme: Scheme,
-    workload: ServiceWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    let name = scheme.name();
-    match scheme {
-        Scheme::Wfe => service_point_for::<Wfe>(name, workload, threads, params),
-        Scheme::Ebr => service_point_for::<Ebr>(name, workload, threads, params),
-        Scheme::He => service_point_for::<He>(name, workload, threads, params),
-        Scheme::Hp => service_point_for::<Hp>(name, workload, threads, params),
-        Scheme::Ibr => service_point_for::<Ibr2Ge>(name, workload, threads, params),
-        Scheme::Leak => service_point_for::<Leak>(name, workload, threads, params),
-    }
-}
-
-fn churn_point_for<R: Reclaimer>(
-    scheme: &'static str,
-    label: &'static str,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    run_churn_map::<R, MichaelHashMap<u64, R>>(scheme, "hashmap", label, threads, params)
-}
-
-/// Measures one cross-shard-churn hash-map data point for one scheme; the
-/// caller pins the block-cache mode via `params.block_cache` and passes the
-/// matching workload `label`.
-pub fn run_churn_point(
-    scheme: Scheme,
-    label: &'static str,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    let name = scheme.name();
-    match scheme {
-        Scheme::Wfe => churn_point_for::<Wfe>(name, label, threads, params),
-        Scheme::Ebr => churn_point_for::<Ebr>(name, label, threads, params),
-        Scheme::He => churn_point_for::<He>(name, label, threads, params),
-        Scheme::Hp => churn_point_for::<Hp>(name, label, threads, params),
-        Scheme::Ibr => churn_point_for::<Ibr2Ge>(name, label, threads, params),
-        Scheme::Leak => churn_point_for::<Leak>(name, label, threads, params),
-    }
-}
-
-/// Measures one queue data point for one scheme.
-pub fn run_queue_point(
-    scheme: Scheme,
-    queue: QueueKind,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    let name = scheme.name();
-    match scheme {
-        Scheme::Wfe => queue_point_for::<Wfe>(name, queue, threads, params),
-        Scheme::Ebr => queue_point_for::<Ebr>(name, queue, threads, params),
-        Scheme::He => queue_point_for::<He>(name, queue, threads, params),
-        Scheme::Hp => queue_point_for::<Hp>(name, queue, threads, params),
-        Scheme::Ibr => queue_point_for::<Ibr2Ge>(name, queue, threads, params),
-        Scheme::Leak => queue_point_for::<Leak>(name, queue, threads, params),
-    }
+    };
 }
 
 /// A figure (or ablation) of the evaluation.
@@ -342,10 +152,8 @@ pub enum Figure {
     Fig10,
     /// BST, 90/10 (Figure 11).
     Fig11,
-    /// Ablation: WFE with the slow path forced (1 fast-path attempt) vs the
-    /// default 16 attempts, on the hash map.
-    AblationSlowPath,
-    /// Ablation: sweep of WFE fast-path attempts {1, 4, 16, 64} on the hash map.
+    /// Ablation: sweep of WFE fast-path attempts {1, 4, 16, 64} on the hash
+    /// map; 1 attempt forces the slow path, 16 is the default.
     AblationAttempts,
     /// Beyond the paper: Michael-Scott lock-free queue, 50/50, as a baseline
     /// for the wait-free queues in the same sweep.
@@ -376,9 +184,9 @@ pub enum Figure {
 }
 
 impl Figure {
-    /// Every figure, in paper order, followed by the ablations and the
+    /// Every figure, in paper order, followed by the ablation and the
     /// extra baselines.
-    pub const ALL: [Figure; 15] = [
+    pub const ALL: [Figure; 14] = [
         Figure::Fig5ab,
         Figure::Fig5cd,
         Figure::Fig6,
@@ -387,7 +195,6 @@ impl Figure {
         Figure::Fig9,
         Figure::Fig10,
         Figure::Fig11,
-        Figure::AblationSlowPath,
         Figure::AblationAttempts,
         Figure::QueueBaseline,
         Figure::KvPool,
@@ -407,7 +214,6 @@ impl Figure {
             Figure::Fig9 => "fig9",
             Figure::Fig10 => "fig10",
             Figure::Fig11 => "fig11",
-            Figure::AblationSlowPath => "ablation-slowpath",
             Figure::AblationAttempts => "ablation-attempts",
             Figure::QueueBaseline => "queue-baseline",
             Figure::KvPool => "kv-pool",
@@ -440,7 +246,6 @@ impl Figure {
             Figure::Fig9 => "Harris-Michael linked list, 90% get / 10% put",
             Figure::Fig10 => "Michael hash map, 90% get / 10% put",
             Figure::Fig11 => "Natarajan-Mittal BST, 90% get / 10% put",
-            Figure::AblationSlowPath => "WFE slow path forced vs default, Michael hash map 50/50",
             Figure::AblationAttempts => "WFE fast-path attempt sweep, Michael hash map 50/50",
             Figure::QueueBaseline => {
                 "Michael-Scott lock-free queue baseline (beyond the paper), 50/50"
@@ -466,101 +271,9 @@ impl Figure {
 
     /// Runs the figure for every scheme and thread count in `params`.
     pub fn run(self, params: &BenchParams, schemes: &[Scheme]) -> Vec<DataPoint> {
+        use MapWorkload::WriteDominated;
         let mut points = Vec::new();
         match self {
-            Figure::Fig5ab | Figure::Fig5cd | Figure::QueueBaseline => {
-                let queue = match self {
-                    Figure::Fig5ab => QueueKind::KoganPetrank,
-                    Figure::Fig5cd => QueueKind::CrTurn,
-                    _ => QueueKind::MsQueue,
-                };
-                for &threads in &params.threads {
-                    for &scheme in schemes {
-                        points.push(run_queue_point(scheme, queue, threads, params));
-                    }
-                }
-            }
-            Figure::Fig6
-            | Figure::Fig7
-            | Figure::Fig8
-            | Figure::Fig9
-            | Figure::Fig10
-            | Figure::Fig11 => {
-                let (map, workload) = match self {
-                    Figure::Fig6 => (MapKind::List, MapWorkload::WriteDominated),
-                    Figure::Fig7 => (MapKind::HashMap, MapWorkload::WriteDominated),
-                    Figure::Fig8 => (MapKind::Bst, MapWorkload::WriteDominated),
-                    Figure::Fig9 => (MapKind::List, MapWorkload::ReadMostly),
-                    Figure::Fig10 => (MapKind::HashMap, MapWorkload::ReadMostly),
-                    _ => (MapKind::Bst, MapWorkload::ReadMostly),
-                };
-                for &threads in &params.threads {
-                    for &scheme in schemes {
-                        points.push(run_map_point(scheme, map, workload, threads, params));
-                    }
-                }
-            }
-            Figure::KvPool => {
-                for &threads in &params.threads {
-                    for &scheme in schemes {
-                        points.push(run_pooled_point(
-                            scheme,
-                            MapWorkload::WriteDominated,
-                            threads,
-                            params,
-                        ));
-                    }
-                }
-            }
-            Figure::KvAsync => {
-                for &tasks in &params.task_counts {
-                    for &scheme in schemes {
-                        points.push(run_async_point(scheme, tasks, params));
-                    }
-                }
-            }
-            Figure::CrossShardChurn => {
-                let modes: &[(bool, &'static str)] = match params.block_cache {
-                    Some(true) => &[(true, "churn-cache-on")],
-                    Some(false) => &[(false, "churn-cache-off")],
-                    None => &[(true, "churn-cache-on"), (false, "churn-cache-off")],
-                };
-                for &threads in &params.threads {
-                    for &scheme in schemes {
-                        for &(enabled, label) in modes {
-                            let mut tweaked = params.clone();
-                            tweaked.block_cache = Some(enabled);
-                            points.push(run_churn_point(scheme, label, threads, &tweaked));
-                        }
-                    }
-                }
-            }
-            Figure::KvService => {
-                for workload in ServiceWorkload::ALL {
-                    for &threads in &params.threads {
-                        for &scheme in schemes {
-                            points.push(run_service_point(scheme, workload, threads, params));
-                        }
-                    }
-                }
-            }
-            Figure::AblationSlowPath => {
-                for &threads in &params.threads {
-                    for (label, attempts) in [("WFE", 16usize), ("WFE-forced-slow", 1)] {
-                        let mut tweaked = params.clone();
-                        tweaked.fast_path_attempts = attempts;
-                        let mut point = map_point_for::<Wfe>(
-                            label,
-                            MapKind::HashMap,
-                            MapWorkload::WriteDominated,
-                            threads,
-                            &tweaked,
-                        );
-                        point.scheme = label;
-                        points.push(point);
-                    }
-                }
-            }
             Figure::AblationAttempts => {
                 for &threads in &params.threads {
                     for (label, attempts) in [
@@ -571,20 +284,115 @@ impl Figure {
                     ] {
                         let mut tweaked = params.clone();
                         tweaked.fast_path_attempts = attempts;
-                        let mut point = map_point_for::<Wfe>(
+                        points.push(run_map::<Wfe, MichaelHashMap<u64, Wfe>>(
                             label,
-                            MapKind::HashMap,
-                            MapWorkload::WriteDominated,
+                            "hashmap",
+                            WriteDominated,
                             threads,
                             &tweaked,
-                        );
-                        point.scheme = label;
-                        points.push(point);
+                        ));
+                    }
+                }
+            }
+            Figure::KvAsync => {
+                for &tasks in &params.task_counts {
+                    for &scheme in schemes {
+                        points.push(with_reclaimer!(scheme, {
+                            run_async_kv::<R, MichaelHashMap<u64, R>>(
+                                scheme.name(),
+                                "hashmap",
+                                tasks,
+                                params,
+                            )
+                        }));
+                    }
+                }
+            }
+            Figure::KvService => {
+                for workload in ServiceWorkload::ALL {
+                    for &threads in &params.threads {
+                        for &scheme in schemes {
+                            points.push(with_reclaimer!(scheme, {
+                                run_kv_service::<R, ResizableHashMap<u64, R>>(
+                                    scheme.name(),
+                                    "resizable",
+                                    workload,
+                                    threads,
+                                    params,
+                                )
+                            }));
+                        }
+                    }
+                }
+            }
+            Figure::CrossShardChurn => {
+                let modes: &[(bool, &'static str)] = match params.block_cache {
+                    Some(true) => &[(true, "churn-cache-on")],
+                    Some(false) => &[(false, "churn-cache-off")],
+                    None => &[(true, "churn-cache-on"), (false, "churn-cache-off")],
+                };
+                // Churn is only "cross-shard" when the registry actually
+                // splits: resolve auto-sizing (0) to the host's parallelism
+                // and force at least two shards either way. The registry
+                // still clamps to `max_threads`, so single-thread points
+                // stay single-shard baselines.
+                let mut tweaked = params.clone();
+                if tweaked.shards == 0 {
+                    tweaked.shards = std::thread::available_parallelism().map_or(1, |n| n.get());
+                }
+                tweaked.shards = tweaked.shards.max(2);
+                for &threads in &params.threads {
+                    for &scheme in schemes {
+                        for &(enabled, label) in modes {
+                            tweaked.block_cache = Some(enabled);
+                            let mut point = with_reclaimer!(scheme, {
+                                run_map::<R, MichaelHashMap<u64, R>>(
+                                    scheme.name(),
+                                    "hashmap",
+                                    WriteDominated,
+                                    threads,
+                                    &tweaked,
+                                )
+                            });
+                            point.workload = label;
+                            points.push(point);
+                        }
+                    }
+                }
+            }
+            _ => {
+                for &threads in &params.threads {
+                    for &scheme in schemes {
+                        points.push(with_reclaimer!(scheme, {
+                            self.thread_point::<R>(scheme.name(), threads, params)
+                        }));
                     }
                 }
             }
         }
         points
+    }
+
+    /// Measures one point of a figure swept over threads × schemes.
+    fn thread_point<R: Reclaimer>(self, s: &'static str, t: usize, p: &BenchParams) -> DataPoint {
+        use MapWorkload::{ReadMostly, WriteDominated};
+        match self {
+            Figure::Fig5ab => run_queue::<R, KoganPetrankQueue<u64, R>>(s, "kp-queue", t, p),
+            Figure::Fig5cd => run_queue::<R, CrTurnQueue<u64, R>>(s, "crturn", t, p),
+            Figure::QueueBaseline => run_queue::<R, MichaelScottQueue<u64, R>>(s, "msqueue", t, p),
+            Figure::Fig6 => run_map::<R, MichaelList<u64, R>>(s, "list", WriteDominated, t, p),
+            Figure::Fig7 => {
+                run_map::<R, MichaelHashMap<u64, R>>(s, "hashmap", WriteDominated, t, p)
+            }
+            Figure::Fig8 => run_map::<R, NatarajanBst<u64, R>>(s, "bst", WriteDominated, t, p),
+            Figure::Fig9 => run_map::<R, MichaelList<u64, R>>(s, "list", ReadMostly, t, p),
+            Figure::Fig10 => run_map::<R, MichaelHashMap<u64, R>>(s, "hashmap", ReadMostly, t, p),
+            Figure::Fig11 => run_map::<R, NatarajanBst<u64, R>>(s, "bst", ReadMostly, t, p),
+            Figure::KvPool => {
+                run_pooled_map::<R, MichaelHashMap<u64, R>>(s, "hashmap", WriteDominated, t, p)
+            }
+            _ => unreachable!("{} has its own sweep", self.name()),
+        }
     }
 }
 
@@ -656,14 +464,14 @@ mod tests {
         assert!(points.iter().all(|p| p.workload == "async-tasks"));
         assert!(points.iter().all(|p| p.threads == params.async_workers));
         assert!(
-            points.iter().all(|p| p.pool_hit_rate > 0.999),
+            points.iter().all(|p| p.metric("pool_hit_rate") > 0.999),
             "prewarmed pool serves every check-out"
         );
         for (index, &tasks) in params.task_counts.iter().enumerate() {
             let wfe = &points[index * schemes.len()];
             let ebr = &points[index * schemes.len() + 1];
-            assert_eq!(wfe.tasks, tasks as u64);
-            assert_eq!(ebr.tasks, tasks as u64);
+            assert_eq!(wfe.metric("tasks"), tasks as f64);
+            assert_eq!(ebr.metric("tasks"), tasks as f64);
             // The stalled bracket pins EBR's epoch, so everything retired
             // during the run stays unreclaimed; WFE's era reservation pins
             // only lifetime-overlapping blocks.
@@ -674,7 +482,7 @@ mod tests {
                 ebr.avg_unreclaimed,
                 wfe.avg_unreclaimed
             );
-            assert!(ebr.unreclaimed_bytes > wfe.unreclaimed_bytes);
+            assert!(ebr.metric("unreclaimed_bytes") > wfe.metric("unreclaimed_bytes"));
         }
     }
 
@@ -696,12 +504,12 @@ mod tests {
         assert_eq!(on.len(), params.threads.len());
         assert_eq!(off.len(), params.threads.len());
         assert!(
-            on.iter().any(|p| p.cache_hits > 0.0),
+            on.iter().any(|p| p.metric("cache_hits") > 0.0),
             "cache-on churn recycles blocks through the shard cache"
         );
         assert!(
             off.iter()
-                .all(|p| p.cache_hits == 0.0 && p.cached_bytes == 0.0),
+                .all(|p| p.metric("cache_hits") == 0.0 && p.metric("cached_bytes") == 0.0),
             "cache-off rows must not report cache traffic"
         );
     }
@@ -740,10 +548,49 @@ mod tests {
             .find(|p| p.workload == "kv-resize-storm")
             .unwrap();
         assert!(
-            storm.resizes > 0.0 && storm.migrated_buckets > 0.0,
+            storm.metric("resizes") > 0.0 && storm.metric("migrated_buckets") > 0.0,
             "the storm leg must force directory doublings (resizes {})",
-            storm.resizes
+            storm.metric("resizes")
         );
+    }
+
+    #[test]
+    fn every_figure_writes_one_row_format() {
+        let mut params = BenchParams::smoke();
+        params.threads = vec![1];
+        params.duration = std::time::Duration::from_millis(20);
+        params.task_counts = vec![500];
+        let columns = DataPoint::CSV_HEADER.split(',').count();
+        for figure in Figure::ALL {
+            let points = figure.run(&params, &[Scheme::Wfe]);
+            assert!(!points.is_empty(), "{} produced no rows", figure.name());
+            for point in &points {
+                let row = point.to_csv_row();
+                assert_eq!(row.split(',').count(), columns, "{}: {row}", figure.name());
+                let names: Vec<&str> = point.metrics.iter().map(|&(name, _)| name).collect();
+                let mut unique = names.clone();
+                unique.sort_unstable();
+                unique.dedup();
+                assert_eq!(unique.len(), names.len(), "{}: {row}", figure.name());
+                for base in ["shards", "avg_occupied_shards", "adopted_batches"] {
+                    assert!(names.contains(&base), "{}: {row}", figure.name());
+                }
+                assert_eq!(
+                    names.contains(&"pool_hit_rate"),
+                    matches!(figure, Figure::KvPool | Figure::KvAsync),
+                    "{}: {row}",
+                    figure.name()
+                );
+                for resize in ["load_factor", "resizes", "migrated_buckets"] {
+                    assert_eq!(
+                        names.contains(&resize),
+                        figure == Figure::KvService,
+                        "{}: {row}",
+                        figure.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -753,9 +600,9 @@ mod tests {
         let points = Figure::KvPool.run(&params, &schemes);
         assert_eq!(points.len(), params.threads.len());
         assert!(points.iter().all(|p| p.workload == "pool-churn"));
-        assert!(points.iter().all(|p| p.shards >= 1));
+        assert!(points.iter().all(|p| p.metric("shards") >= 1.0));
         assert!(
-            points.iter().all(|p| p.pool_hit_rate > 0.0),
+            points.iter().all(|p| p.metric("pool_hit_rate") > 0.0),
             "task churn is served from the pool"
         );
     }

@@ -13,11 +13,14 @@
 //!   duration, repeats, thread counts), defaulting to a scaled-down version of
 //!   the paper's settings and restoring them exactly with
 //!   [`params::BenchParams::paper`];
-//! * [`runner`] — generic measurement loops for maps and queues, producing
-//!   [`runner::DataPoint`]s (scheme, threads, Mops/s, average unreclaimed);
+//! * [`runner`] — one closed measurement loop (spawn, barrier, warm-up,
+//!   measured window, gauge sampler) driving a per-thread step for maps,
+//!   queues and pooled tasks, plus the completion-driven async runner; each
+//!   produces a [`runner::DataPoint`]: scheme, threads, Mops/s, average
+//!   unreclaimed and a sparse list of named metrics;
 //! * [`figures`] — one entry per figure of the paper (5a-5d, 6-11) plus the
-//!   two ablation studies, each of which regenerates the corresponding series
-//!   as CSV rows;
+//!   fast-path attempt ablation and the beyond-the-paper runs, each of which
+//!   regenerates the corresponding series as CSV rows;
 //! * [`baseline`] — JSON baseline snapshots (`figures --baseline-json`) for
 //!   tracking the performance trajectory across commits;
 //! * the `figures` binary (`cargo run -p wfe-bench --release --bin figures`)

@@ -1,4 +1,4 @@
-//! Generic measurement loops.
+//! The measurement loop and its runners.
 //!
 //! One data point = one (scheme, structure, workload, thread-count)
 //! combination, measured for `BenchParams::duration` and repeated
@@ -9,25 +9,32 @@
 //! run is in flight. The sampler also records how many registry shards are
 //! occupied at each tick — the scan width after shard-skip.
 //!
-//! Beyond the per-thread runners of the paper, [`run_pooled_map`] measures
-//! the executor pattern: workers check a handle out of a [`HandlePool`] for a
-//! short task (a handful of operations), check it back in, and repeat — the
-//! `kv-pool` figure. Its data points carry the pool hit rate.
+//! Every duration-based runner ([`run_map`], [`run_kv_service`],
+//! [`run_pooled_map`], [`run_queue`]) is the same closed loop, `measure`:
+//! each worker registers its state, waits on a barrier and then calls its
+//! per-thread step until the window closes. Only the step differs — one map
+//! or queue operation, or (for [`run_pooled_map`], the `kv-pool` figure) one
+//! pooled task: check a handle out of a [`HandlePool`], perform
+//! [`POOL_TASK_OPS`] operations, check it back in. [`run_async_kv`] is
+//! completion-driven instead and shares only the sampler.
+//!
+//! Every run reports the same base metrics (see [`DataPoint`]); a runner may
+//! append its own, and repeats are averaged by metric name.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use wfe_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use wfe_reclaim::{
-    Atomic, BlockCacheConfig, Handle, HandlePool, RawHandle, Reclaimer, ReclaimerConfig, SmrStats,
+    Atomic, BlockCacheConfig, Handle, HandlePool, RawHandle, Reclaimer, ReclaimerConfig,
 };
 use wfe_task::TaskHandle;
 
 use crate::params::BenchParams;
 use crate::workload::{MapOp, MapWorkload, OpGenerator, ServiceOpGenerator, ServiceWorkload};
-use wfe_ds::{ConcurrentMap, ConcurrentQueue, MapServiceStats};
+use wfe_ds::{ConcurrentMap, ConcurrentQueue};
 
-/// How often the sampler thread reads the unreclaimed-object counter.
+/// How often the sampler reads the unreclaimed-object counter.
 const SAMPLE_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Operations one pooled "task" performs between check-out and check-in of
@@ -42,6 +49,9 @@ const ASYNC_YIELD_EVERY: usize = 16;
 /// at once, which bounds handle concurrency (and registry size) while the
 /// task-count axis sweeps into the hundreds of thousands.
 const ASYNC_WAVE: usize = 256;
+
+/// Named measurements of one run or one averaged point.
+type Metrics = Vec<(&'static str, f64)>;
 
 /// Warm-up time before the measured window: a fraction of the run duration,
 /// capped so short smoke runs stay short.
@@ -94,14 +104,25 @@ fn process_warm_up() {
     });
 }
 
-/// One measured point of a figure.
+/// One measured point of a figure: the key columns, the two metrics every
+/// figure plots, and a sparse list of named metrics.
+///
+/// Every runner records the base metrics `shards` (registry shard count),
+/// `avg_occupied_shards` (time-averaged occupied shards, the scan width
+/// after shard-skip), `adopted_batches` and `freed_via_adoption` (orphaned
+/// batches adopted from exited threads and the blocks freed from them),
+/// `cache_hits`, `cache_misses` and `cached_bytes` (the per-shard block
+/// cache). [`run_pooled_map`] and [`run_async_kv`] add `pool_hit_rate`;
+/// [`run_async_kv`] adds `tasks` and `unreclaimed_bytes`; [`run_kv_service`]
+/// adds `load_factor`, `resizes` and `migrated_buckets`. Counters are
+/// end-of-run totals; everything is averaged over repeats.
 #[derive(Debug, Clone)]
 pub struct DataPoint {
     /// Scheme name as used in the paper's legends.
     pub scheme: &'static str,
     /// Data-structure name.
     pub structure: &'static str,
-    /// Workload label (`write50`, `read90`, `queue50`, `pool-churn`).
+    /// Workload label (`write50`, `read90`, `queue50`, `pool-churn`, ...).
     pub workload: &'static str,
     /// Number of worker threads.
     pub threads: usize,
@@ -109,90 +130,51 @@ pub struct DataPoint {
     pub mops: f64,
     /// Time-averaged number of retired-but-unreclaimed blocks.
     pub avg_unreclaimed: f64,
-    /// Orphaned batches adopted from exited threads (end-of-run total,
-    /// averaged over repeats).
-    pub adopted_batches: f64,
-    /// Blocks freed by scanning adopted batches (end-of-run total, averaged
-    /// over repeats) — the observable for the bounded-unreclaimed claim when
-    /// threads come and go.
-    pub freed_via_adoption: f64,
-    /// Number of shards the domain's slot registry was split into.
-    pub shards: usize,
-    /// Time-averaged number of *occupied* shards (the scan width after
-    /// shard-skip; `shards - avg_occupied_shards` shards were skipped by an
-    /// average cleanup pass).
-    pub avg_occupied_shards: f64,
-    /// Fraction of handle check-outs served from the pool (`kv-pool` figure
-    /// only; 0 for per-thread runners, which never touch a pool).
-    pub pool_hit_rate: f64,
-    /// Number of async tasks executed (`kv-async` figure only — its x-axis;
-    /// 0 for duration-based runners).
-    pub tasks: u64,
-    /// Time-averaged unreclaimed memory in bytes
-    /// (`avg_unreclaimed × node size`; `kv-async` figure only, 0 elsewhere).
-    pub unreclaimed_bytes: f64,
-    /// Allocations served from the per-shard block cache (end-of-run total,
-    /// averaged over repeats; 0 when the cache is disabled).
-    pub cache_hits: f64,
-    /// Cacheable allocations that fell through to the global allocator
-    /// (end-of-run total, averaged over repeats).
-    pub cache_misses: f64,
-    /// Bytes parked in the per-shard block caches when the run ended
-    /// (averaged over repeats).
-    pub cached_bytes: f64,
-    /// End-of-run elements-per-bucket ratio of a resizable map
-    /// (`kv-service` figure; 0 for fixed-capacity structures).
-    pub load_factor: f64,
-    /// Bucket-array doublings the resizable map performed during the run
-    /// (end-of-run total, averaged over repeats; 0 elsewhere).
-    pub resizes: f64,
-    /// Buckets whose cached dummy pointers were carried into a new directory
-    /// by those resizes (end-of-run total, averaged over repeats).
-    pub migrated_buckets: f64,
+    /// The remaining metrics by name, in the order the runner recorded them.
+    pub metrics: Vec<(&'static str, f64)>,
 }
 
 impl DataPoint {
     /// CSV header matching [`DataPoint::to_csv_row`].
     pub const CSV_HEADER: &'static str =
-        "structure,workload,scheme,threads,mops,avg_unreclaimed,adopted_batches,\
-         freed_via_adoption,shards,avg_occupied_shards,pool_hit_rate,tasks,\
-         unreclaimed_bytes,cache_hits,cache_misses,cached_bytes,load_factor,\
-         resizes,migrated_buckets";
+        "structure,workload,scheme,threads,mops,avg_unreclaimed,metrics";
 
-    /// Renders the point as one CSV row.
+    /// The metric called `name`, or 0 when this point does not carry it.
+    pub fn metric(&self, name: &str) -> f64 {
+        self.metrics
+            .iter()
+            .find(|(metric, _)| *metric == name)
+            .map_or(0.0, |&(_, value)| value)
+    }
+
+    /// Renders the point as one CSV row; the last column holds the metrics
+    /// as `name=value` pairs joined by `;`.
     pub fn to_csv_row(&self) -> String {
+        let metrics: Vec<String> = self
+            .metrics
+            .iter()
+            .map(|(name, value)| {
+                if value.fract() == 0.0 {
+                    format!("{name}={value:.0}")
+                } else {
+                    format!("{name}={value:.3}")
+                }
+            })
+            .collect();
         format!(
-            "{},{},{},{},{:.4},{:.1},{:.1},{:.1},{},{:.2},{:.3},{},{:.0},{:.1},{:.1},{:.0},\
-             {:.3},{:.1},{:.1}",
+            "{},{},{},{},{:.4},{:.1},{}",
             self.structure,
             self.workload,
             self.scheme,
             self.threads,
             self.mops,
             self.avg_unreclaimed,
-            self.adopted_batches,
-            self.freed_via_adoption,
-            self.shards,
-            self.avg_occupied_shards,
-            self.pool_hit_rate,
-            self.tasks,
-            self.unreclaimed_bytes,
-            self.cache_hits,
-            self.cache_misses,
-            self.cached_bytes,
-            self.load_factor,
-            self.resizes,
-            self.migrated_buckets
+            metrics.join(";")
         )
     }
 }
 
-fn domain_config<R: Reclaimer>(
-    threads: usize,
-    required_slots: usize,
-    params: &BenchParams,
-) -> ReclaimerConfig {
-    let _ = std::marker::PhantomData::<R>;
+fn domain_config(threads: usize, required_slots: usize, params: &BenchParams) -> ReclaimerConfig {
     let block_cache = match params.block_cache {
         Some(enabled) => BlockCacheConfig {
             enabled,
@@ -211,78 +193,132 @@ fn domain_config<R: Reclaimer>(
     }
 }
 
-/// Accumulates a time-averaged gauge sampled while the workers run.
-struct Sampler {
-    sum: f64,
-    samples: u64,
-}
-
-impl Sampler {
-    fn new() -> Self {
-        Self {
-            sum: 0.0,
-            samples: 0,
-        }
-    }
-
-    fn record(&mut self, value: u64) {
-        self.sum += value as f64;
-        self.samples += 1;
-    }
-
-    fn average(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.sum / self.samples as f64
-        }
-    }
-}
-
-/// The raw outcome of one measured run.
-struct RunOutcome {
-    ops: u64,
-    avg_unreclaimed: f64,
-    avg_occupied_shards: f64,
-    shards: usize,
-    elapsed: Duration,
-    stats: SmrStats,
-    /// `kv-pool`/`kv-async` runs only; 0 elsewhere.
-    pool_hit_rate: f64,
-    /// `kv-async` runs only; 0 elsewhere.
-    tasks: u64,
-    /// `kv-async` runs only; 0 elsewhere.
-    unreclaimed_bytes: f64,
-    /// End-of-run resizable-map stats (`kv-service` figure; zeros for
-    /// fixed-capacity structures, which keep the trait's default impl).
-    service: MapServiceStats,
-}
-
-/// The sampling loop every runner's main thread executes while its workers
-/// run: warm up, open the measured window, sample the gauges, stop.
-fn drive_sampling<R: Reclaimer>(
-    domain: &Arc<R>,
-    params: &BenchParams,
-    barrier: &Barrier,
-    measuring: &AtomicBool,
-    stop: &AtomicBool,
-    unreclaimed_sampler: &mut Sampler,
-    occupancy_sampler: &mut Sampler,
-) -> Duration {
-    barrier.wait();
-    // Warm-up: let the workers fault in the working set and ramp the CPU
-    // before the measured window opens (the first scheme measured in a
-    // process would otherwise be penalised).
-    std::thread::sleep(warmup_duration(params));
-    measuring.store(true, Ordering::SeqCst);
-    let start = Instant::now();
-    while start.elapsed() < params.duration {
+/// Samples the unreclaimed and occupied-shard gauges of `domain` every
+/// [`SAMPLE_INTERVAL`] until `done` returns true; returns their time
+/// averages (0 when no sample was taken).
+fn sample_gauges<R: Reclaimer>(domain: &R, done: impl Fn() -> bool) -> (f64, f64) {
+    let (mut unreclaimed, mut occupied, mut samples) = (0.0, 0.0, 0u32);
+    while !done() {
         std::thread::sleep(SAMPLE_INTERVAL);
-        unreclaimed_sampler.record(domain.stats().unreclaimed);
-        occupancy_sampler.record(domain.registry().occupied_shards() as u64);
+        unreclaimed += domain.stats().unreclaimed as f64;
+        occupied += domain.registry().occupied_shards() as f64;
+        samples += 1;
     }
-    stop.store(true, Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
-    start.elapsed()
+    let samples = f64::from(samples.max(1));
+    (unreclaimed / samples, occupied / samples)
+}
+
+/// The metrics every run reports, read from `domain` once the run is over.
+fn base_metrics<R: Reclaimer>(
+    domain: &R,
+    ops: u64,
+    elapsed: Duration,
+    (avg_unreclaimed, avg_occupied_shards): (f64, f64),
+) -> Metrics {
+    let stats = domain.stats();
+    vec![
+        ("mops", ops as f64 / elapsed.as_secs_f64() / 1e6),
+        ("avg_unreclaimed", avg_unreclaimed),
+        ("shards", domain.registry().shard_count() as f64),
+        ("avg_occupied_shards", avg_occupied_shards),
+        ("adopted_batches", stats.adopted_batches as f64),
+        ("freed_via_adoption", stats.freed_via_adoption as f64),
+        ("cache_hits", stats.cache_hits as f64),
+        ("cache_misses", stats.cache_misses as f64),
+        ("cached_bytes", stats.cached_bytes as f64),
+    ]
+}
+
+/// The closed measurement loop every duration-based runner shares.
+///
+/// Spawns `threads` workers; worker `t` builds its step with `worker(t)`
+/// (registering handles there, before the barrier) and then calls it until
+/// the window closes, counting the operations each call reports. The main
+/// thread warms up for [`warmup_duration`], opens the measured window and
+/// samples `domain`'s gauges for `params.duration`.
+fn measure<R, W>(
+    domain: &R,
+    threads: usize,
+    params: &BenchParams,
+    worker: impl Fn(usize) -> W + Sync,
+) -> Metrics
+where
+    R: Reclaimer,
+    W: FnMut() -> u64,
+{
+    let stop = AtomicBool::new(false);
+    let measuring = AtomicBool::new(false);
+    let total_ops = AtomicU64::new(0);
+    let barrier = Barrier::new(threads + 1);
+    let (elapsed, gauges) = std::thread::scope(|scope| {
+        for thread in 0..threads {
+            let (worker, stop, measuring) = (&worker, &stop, &measuring);
+            let (total_ops, barrier) = (&total_ops, &barrier);
+            scope.spawn(move || {
+                let mut step = worker(thread);
+                barrier.wait();
+                let mut ops = 0u64;
+                // ORDER: benchmark control flag; no data is ordered by it.
+                while !stop.load(Ordering::Relaxed) {
+                    // ORDER: benchmark control flag; no data is ordered by it.
+                    if !measuring.load(Ordering::Relaxed) {
+                        ops = 0;
+                    }
+                    ops += step();
+                }
+                total_ops.fetch_add(ops, Ordering::Relaxed); // ORDER: throughput counter, aggregated after the threads join.
+            });
+        }
+        barrier.wait();
+        // Warm-up: let the workers fault in the working set and ramp the CPU
+        // before the measured window opens (the first scheme measured in a
+        // process would otherwise be penalised).
+        std::thread::sleep(warmup_duration(params));
+        measuring.store(true, Ordering::SeqCst);
+        let start = Instant::now();
+        let gauges = sample_gauges(domain, || start.elapsed() >= params.duration);
+        stop.store(true, Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
+        (start.elapsed(), gauges)
+    });
+    base_metrics(domain, total_ops.into_inner(), elapsed, gauges)
+}
+
+/// Averages `repeats` runs of `run` into one data point, metric by metric.
+fn average_point(
+    scheme: &'static str,
+    structure: &'static str,
+    workload: &'static str,
+    threads: usize,
+    params: &BenchParams,
+    mut run: impl FnMut(u64) -> Metrics,
+) -> DataPoint {
+    process_warm_up();
+    let repeats = params.repeats.max(1);
+    let mut metrics: Metrics = Vec::new();
+    for repeat in 0..repeats {
+        for (name, value) in run(repeat as u64) {
+            match metrics.iter_mut().find(|(metric, _)| *metric == name) {
+                Some((_, sum)) => *sum += value,
+                None => metrics.push((name, value)),
+            }
+        }
+    }
+    metrics
+        .iter_mut()
+        .for_each(|(_, sum)| *sum /= repeats as f64);
+    let mut take = |name: &str| {
+        let index = metrics.iter().position(|(metric, _)| *metric == name);
+        index.map_or(0.0, |index| metrics.remove(index).1)
+    };
+    DataPoint {
+        scheme,
+        structure,
+        workload,
+        threads,
+        mops: take("mops"),
+        avg_unreclaimed: take("avg_unreclaimed"),
+        metrics,
+    }
 }
 
 /// Pre-inserts `prefill` distinct keys before the measured window opens.
@@ -306,14 +342,14 @@ fn prefill_map<R, M>(
     }
 }
 
-/// Applies the generator's next operation to `map`.
+/// Applies one generated operation to `map`.
 #[inline]
-fn apply_map_op<R, M>(map: &M, handle: &mut R::Handle, generator: &mut OpGenerator)
+fn apply_map_op<R, M>(map: &M, handle: &mut R::Handle, op: MapOp)
 where
     R: Reclaimer,
     M: ConcurrentMap<R>,
 {
-    match generator.next_op() {
+    match op {
         MapOp::Insert(key) => {
             map.insert(handle, key, key);
         }
@@ -326,171 +362,48 @@ where
     }
 }
 
-/// Runs the map workload once.
-fn run_map_once<R, M>(
-    threads: usize,
+/// Measures one map data point (averaged over `params.repeats` runs): every
+/// worker owns a handle and performs one generated operation per step.
+pub fn run_map<R, M>(
+    scheme: &'static str,
+    structure: &'static str,
     workload: MapWorkload,
+    threads: usize,
     params: &BenchParams,
-    seed: u64,
-) -> RunOutcome
+) -> DataPoint
 where
     R: Reclaimer,
     M: ConcurrentMap<R>,
 {
-    let domain = R::with_config(domain_config::<R>(threads, M::required_slots(), params));
-    let map = M::with_domain(Arc::clone(&domain));
-    prefill_map(&domain, &map, workload, params, seed);
-
-    let stop = AtomicBool::new(false);
-    let measuring = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let barrier = Barrier::new(threads + 1);
-    let mut unreclaimed_sampler = Sampler::new();
-    let mut occupancy_sampler = Sampler::new();
-    let mut elapsed = Duration::ZERO;
-
-    std::thread::scope(|scope| {
-        for thread in 0..threads {
-            let domain = Arc::clone(&domain);
-            let map = &map;
-            let stop = &stop;
-            let measuring = &measuring;
-            let total_ops = &total_ops;
-            let barrier = &barrier;
-            scope.spawn(move || {
+    average_point(
+        scheme,
+        structure,
+        workload.label(),
+        threads,
+        params,
+        |repeat| {
+            let seed = 0xC0FFEE + repeat;
+            let domain = R::with_config(domain_config(threads, M::required_slots(), params));
+            let map = &M::with_domain(Arc::clone(&domain));
+            prefill_map(&domain, map, workload, params, seed);
+            measure(&*domain, threads, params, |thread| {
                 let mut handle = domain.register();
                 let mut generator = OpGenerator::new(workload, params.key_range, seed, thread);
-                barrier.wait();
-                let mut ops = 0u64;
-                // ORDER: benchmark control flag; no data is ordered by it.
-                while !stop.load(Ordering::Relaxed) {
-                    // ORDER: benchmark control flag; no data is ordered by it.
-                    if !measuring.load(Ordering::Relaxed) {
-                        ops = 0;
-                    }
-                    apply_map_op(map, &mut handle, &mut generator);
-                    ops += 1;
+                move || {
+                    apply_map_op(map, &mut handle, generator.next_op());
+                    1
                 }
-                total_ops.fetch_add(ops, Ordering::Relaxed); // ORDER: throughput counter, aggregated after the threads join.
-            });
-        }
-        elapsed = drive_sampling(
-            &domain,
-            params,
-            &barrier,
-            &measuring,
-            &stop,
-            &mut unreclaimed_sampler,
-            &mut occupancy_sampler,
-        );
-    });
-
-    RunOutcome {
-        ops: total_ops.into_inner(),
-        avg_unreclaimed: unreclaimed_sampler.average(),
-        avg_occupied_shards: occupancy_sampler.average(),
-        shards: domain.registry().shard_count(),
-        elapsed,
-        stats: domain.stats(),
-        pool_hit_rate: 0.0,
-        tasks: 0,
-        unreclaimed_bytes: 0.0,
-        service: map.service_stats(),
-    }
+            })
+        },
+    )
 }
 
-/// Runs the service-shaped map workload once (the `kv-service` figure):
-/// Zipfian key popularity, TTL expiry or resize-storm churn depending on the
-/// leg, with the map's end-of-run resize statistics captured into the
-/// outcome. Only the zipf legs prefill — the TTL and storm legs measure the
-/// map growing from its initial directory.
-fn run_kv_service_once<R, M>(
-    threads: usize,
-    workload: ServiceWorkload,
-    params: &BenchParams,
-    seed: u64,
-) -> RunOutcome
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    let domain = R::with_config(domain_config::<R>(threads, M::required_slots(), params));
-    let map = M::with_domain(Arc::clone(&domain));
-    if workload.prefills() {
-        prefill_map(&domain, &map, MapWorkload::WriteDominated, params, seed);
-    }
-
-    let stop = AtomicBool::new(false);
-    let measuring = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let barrier = Barrier::new(threads + 1);
-    let mut unreclaimed_sampler = Sampler::new();
-    let mut occupancy_sampler = Sampler::new();
-    let mut elapsed = Duration::ZERO;
-
-    std::thread::scope(|scope| {
-        for thread in 0..threads {
-            let domain = Arc::clone(&domain);
-            let map = &map;
-            let stop = &stop;
-            let measuring = &measuring;
-            let total_ops = &total_ops;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                let mut handle = domain.register();
-                let mut generator =
-                    ServiceOpGenerator::new(workload, params.key_range, seed, thread);
-                barrier.wait();
-                let mut ops = 0u64;
-                // ORDER: benchmark control flag; no data is ordered by it.
-                while !stop.load(Ordering::Relaxed) {
-                    // ORDER: benchmark control flag; no data is ordered by it.
-                    if !measuring.load(Ordering::Relaxed) {
-                        ops = 0;
-                    }
-                    match generator.next_op() {
-                        MapOp::Insert(key) => {
-                            map.insert(&mut handle, key, key);
-                        }
-                        MapOp::Remove(key) => {
-                            map.remove(&mut handle, key);
-                        }
-                        MapOp::Get(key) => {
-                            map.get(&mut handle, key);
-                        }
-                    }
-                    ops += 1;
-                }
-                total_ops.fetch_add(ops, Ordering::Relaxed); // ORDER: throughput counter, aggregated after the threads join.
-            });
-        }
-        elapsed = drive_sampling(
-            &domain,
-            params,
-            &barrier,
-            &measuring,
-            &stop,
-            &mut unreclaimed_sampler,
-            &mut occupancy_sampler,
-        );
-    });
-
-    RunOutcome {
-        ops: total_ops.into_inner(),
-        avg_unreclaimed: unreclaimed_sampler.average(),
-        avg_occupied_shards: occupancy_sampler.average(),
-        shards: domain.registry().shard_count(),
-        elapsed,
-        stats: domain.stats(),
-        pool_hit_rate: 0.0,
-        tasks: 0,
-        unreclaimed_bytes: 0.0,
-        service: map.service_stats(),
-    }
-}
-
-/// Measures one kv-service data point (averaged over `params.repeats` runs).
-/// The seed is derived from the leg so every leg's key stream is distinct but
+/// Measures one kv-service data point (averaged over `params.repeats` runs):
+/// the service-shaped map workload — Zipfian key popularity, TTL expiry or
+/// resize-storm churn depending on the leg — with the map's end-of-run
+/// resize statistics appended. Only the zipf legs prefill; the TTL and storm
+/// legs measure the map growing from its initial directory. The seed is
+/// derived from the leg so every leg's key stream is distinct but
 /// replayable.
 pub fn run_kv_service<R, M>(
     scheme: &'static str,
@@ -503,7 +416,6 @@ where
     R: Reclaimer,
     M: ConcurrentMap<R>,
 {
-    let leg = workload as u64;
     average_point(
         scheme,
         structure,
@@ -511,94 +423,132 @@ where
         threads,
         params,
         |repeat| {
-            run_kv_service_once::<R, M>(threads, workload, params, 0x5E41_1CE0 + leg * 97 + repeat)
+            let seed = 0x5E41_1CE0 + workload as u64 * 97 + repeat;
+            let domain = R::with_config(domain_config(threads, M::required_slots(), params));
+            let map = &M::with_domain(Arc::clone(&domain));
+            if workload.prefills() {
+                prefill_map(&domain, map, MapWorkload::WriteDominated, params, seed);
+            }
+            let mut metrics = measure(&*domain, threads, params, |thread| {
+                let mut handle = domain.register();
+                let mut generator =
+                    ServiceOpGenerator::new(workload, params.key_range, seed, thread);
+                move || {
+                    apply_map_op(map, &mut handle, generator.next_op());
+                    1
+                }
+            });
+            let service = map.service_stats();
+            metrics.push(("load_factor", service.load_factor));
+            metrics.push(("resizes", service.resizes as f64));
+            metrics.push(("migrated_buckets", service.migrated_buckets as f64));
+            metrics
         },
     )
 }
 
-/// Runs the map workload once with pooled handles at task-churn grain: each
-/// worker checks a handle out of the shared [`HandlePool`], performs
-/// [`POOL_TASK_OPS`] operations, checks it back in, and repeats.
-fn run_pooled_map_once<R, M>(
-    threads: usize,
+/// Measures one pooled-handle map data point (the `kv-pool` figure; averaged
+/// over `params.repeats` runs) at task-churn grain: each step checks a handle
+/// out of the shared [`HandlePool`], performs [`POOL_TASK_OPS`] operations
+/// and checks it back in.
+pub fn run_pooled_map<R, M>(
+    scheme: &'static str,
+    structure: &'static str,
     workload: MapWorkload,
+    threads: usize,
     params: &BenchParams,
-    seed: u64,
-) -> RunOutcome
+) -> DataPoint
 where
     R: Reclaimer,
     M: ConcurrentMap<R>,
 {
-    let domain = R::with_config(domain_config::<R>(threads, M::required_slots(), params));
-    let map = M::with_domain(Arc::clone(&domain));
-    prefill_map(&domain, &map, workload, params, seed);
-    let pool = HandlePool::new(Arc::clone(&domain));
-
-    let stop = AtomicBool::new(false);
-    let measuring = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let barrier = Barrier::new(threads + 1);
-    let mut unreclaimed_sampler = Sampler::new();
-    let mut occupancy_sampler = Sampler::new();
-    let mut elapsed = Duration::ZERO;
-
-    std::thread::scope(|scope| {
-        for thread in 0..threads {
-            let pool = Arc::clone(&pool);
-            let map = &map;
-            let stop = &stop;
-            let measuring = &measuring;
-            let total_ops = &total_ops;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                let mut generator = OpGenerator::new(workload, params.key_range, seed, thread);
-                barrier.wait();
-                let mut ops = 0u64;
-                // ORDER: benchmark control flag; no data is ordered by it.
-                while !stop.load(Ordering::Relaxed) {
-                    // ORDER: benchmark control flag; no data is ordered by it.
-                    if !measuring.load(Ordering::Relaxed) {
-                        ops = 0;
+    average_point(scheme, structure, "pool-churn", threads, params, |repeat| {
+        let seed = 0x9001 + repeat;
+        let domain = R::with_config(domain_config(threads, M::required_slots(), params));
+        let map = &M::with_domain(Arc::clone(&domain));
+        prefill_map(&domain, map, workload, params, seed);
+        let pool = &HandlePool::new(Arc::clone(&domain));
+        let mut metrics = measure(&*domain, threads, params, |thread| {
+            let mut generator = OpGenerator::new(workload, params.key_range, seed, thread);
+            move || {
+                let mut handle = loop {
+                    match pool.check_out() {
+                        Some(handle) => break handle,
+                        None => std::thread::yield_now(),
                     }
-                    // One "task": check out, work, check in.
-                    let mut handle = loop {
-                        match pool.check_out() {
-                            Some(handle) => break handle,
-                            None => std::thread::yield_now(),
-                        }
-                    };
-                    for _ in 0..POOL_TASK_OPS {
-                        apply_map_op(map, &mut handle, &mut generator);
-                        ops += 1;
-                    }
-                    drop(handle);
+                };
+                for _ in 0..POOL_TASK_OPS {
+                    apply_map_op(map, &mut handle, generator.next_op());
                 }
-                total_ops.fetch_add(ops, Ordering::Relaxed); // ORDER: throughput counter, aggregated after the threads join.
-            });
-        }
-        elapsed = drive_sampling(
-            &domain,
-            params,
-            &barrier,
-            &measuring,
-            &stop,
-            &mut unreclaimed_sampler,
-            &mut occupancy_sampler,
-        );
-    });
+                POOL_TASK_OPS as u64
+            }
+        });
+        metrics.push(("pool_hit_rate", pool.stats().hit_rate()));
+        metrics
+    })
+}
 
-    RunOutcome {
-        ops: total_ops.into_inner(),
-        avg_unreclaimed: unreclaimed_sampler.average(),
-        avg_occupied_shards: occupancy_sampler.average(),
-        shards: domain.registry().shard_count(),
-        elapsed,
-        stats: domain.stats(),
-        pool_hit_rate: pool.stats().hit_rate(),
-        tasks: 0,
-        unreclaimed_bytes: 0.0,
-        service: map.service_stats(),
-    }
+/// Measures one queue data point (50% enqueue / 50% dequeue; averaged over
+/// `params.repeats` runs).
+pub fn run_queue<R, Q>(
+    scheme: &'static str,
+    structure: &'static str,
+    threads: usize,
+    params: &BenchParams,
+) -> DataPoint
+where
+    R: Reclaimer,
+    Q: ConcurrentQueue<R>,
+{
+    let workload = MapWorkload::WriteDominated;
+    average_point(scheme, structure, "queue50", threads, params, |repeat| {
+        let seed = 0xBADC0DE + repeat;
+        let domain = R::with_config(domain_config(threads, Q::required_slots(), params));
+        let queue = &Q::with_domain(Arc::clone(&domain));
+        {
+            let mut handle = domain.register();
+            let mut generator = OpGenerator::new(workload, params.key_range, seed, usize::MAX >> 1);
+            for _ in 0..params.prefill {
+                queue.enqueue(&mut handle, generator.next_key());
+            }
+        }
+        measure(&*domain, threads, params, |thread| {
+            let mut handle = domain.register();
+            let mut generator = OpGenerator::new(workload, params.key_range, seed, thread);
+            move || {
+                if generator.next_bool() {
+                    queue.enqueue(&mut handle, generator.next_key());
+                } else {
+                    queue.dequeue(&mut handle);
+                }
+                1
+            }
+        })
+    })
+}
+
+/// Measures one async-task data point (the `kv-async` figure; averaged over
+/// `params.repeats` runs). `threads` in the resulting row is the executor
+/// worker count; the swept axis is `tasks`.
+pub fn run_async_kv<R, M>(
+    scheme: &'static str,
+    structure: &'static str,
+    tasks: usize,
+    params: &BenchParams,
+) -> DataPoint
+where
+    R: Reclaimer,
+    M: ConcurrentMap<R>,
+{
+    let workers = params.async_workers.max(1);
+    average_point(
+        scheme,
+        structure,
+        "async-tasks",
+        workers,
+        params,
+        |repeat| run_async_kv_once::<R, M>(tasks, params, 0xA57C + repeat),
+    )
 }
 
 /// Runs the map workload once at *async task* grain (the `kv-async` figure):
@@ -618,7 +568,7 @@ where
 /// stays unreclaimed (growing with the task count); under WFE/HE only blocks
 /// whose lifetime overlaps the stalled era reservation stay pinned, so the
 /// unreclaimed gauge remains bounded.
-fn run_async_kv_once<R, M>(tasks: usize, params: &BenchParams, seed: u64) -> RunOutcome
+fn run_async_kv_once<R, M>(tasks: usize, params: &BenchParams, seed: u64) -> Metrics
 where
     R: Reclaimer,
     M: ConcurrentMap<R>,
@@ -627,7 +577,7 @@ where
     let wave = ASYNC_WAVE.min(tasks.max(1));
     // Registry sizing: at most `wave` live tasks plus the prefill handle and
     // the stalled reader.
-    let domain = R::with_config(domain_config::<R>(wave + 2, M::required_slots(), params));
+    let domain = R::with_config(domain_config(wave + 2, M::required_slots(), params));
     let map = Arc::new(M::with_domain(Arc::clone(&domain)));
     prefill_map(&domain, &*map, workload, params, seed);
     let pool = HandlePool::new(Arc::clone(&domain));
@@ -644,63 +594,47 @@ where
     stall.protect(&stall_root, 0, core::ptr::null_mut());
 
     let rt = mini_rt::Runtime::new(params.async_workers.max(1));
-    let stop = AtomicBool::new(false);
-    let mut unreclaimed_sampler = Sampler::new();
-    let mut occupancy_sampler = Sampler::new();
-    let mut elapsed = Duration::ZERO;
-    let mut completed = 0usize;
-
-    std::thread::scope(|scope| {
-        let sampler_thread = scope.spawn(|| {
-            let mut unreclaimed = Sampler::new();
-            let mut occupancy = Sampler::new();
-            // ORDER: benchmark control flag; no data is ordered by it.
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(SAMPLE_INTERVAL);
-                unreclaimed.record(domain.stats().unreclaimed);
-                occupancy.record(domain.registry().occupied_shards() as u64);
-            }
-            (unreclaimed, occupancy)
-        });
-
-        let start = Instant::now();
-        completed = rt.block_on(async {
-            let mut completed = 0usize;
-            let mut pending = Vec::with_capacity(wave);
-            let key_range = params.key_range;
-            for task_index in 0..tasks {
-                let map = Arc::clone(&map);
-                let pool = Arc::clone(&pool);
-                pending.push(rt.spawn(async move {
-                    let mut task = TaskHandle::acquire(&pool).await;
-                    let mut generator = OpGenerator::new(workload, key_range, seed, task_index);
-                    for op in 0..POOL_TASK_OPS {
-                        apply_map_op(&*map, task.raw(), &mut generator);
-                        if op % ASYNC_YIELD_EVERY == ASYNC_YIELD_EVERY - 1 {
-                            // Nothing is protected here: every map operation
-                            // opened and closed its own bracket.
-                            mini_rt::yield_now().await;
+    // The executor is driven from a scoped thread while this thread samples
+    // the gauges until that thread finishes.
+    let ((completed, elapsed), gauges) = std::thread::scope(|scope| {
+        let executor = scope.spawn(|| {
+            let start = Instant::now();
+            let completed = rt.block_on(async {
+                let mut completed = 0usize;
+                let mut pending = Vec::with_capacity(wave);
+                let key_range = params.key_range;
+                for task_index in 0..tasks {
+                    let map = Arc::clone(&map);
+                    let pool = Arc::clone(&pool);
+                    pending.push(rt.spawn(async move {
+                        let mut task = TaskHandle::acquire(&pool).await;
+                        let mut generator = OpGenerator::new(workload, key_range, seed, task_index);
+                        for op in 0..POOL_TASK_OPS {
+                            apply_map_op(&*map, task.raw(), generator.next_op());
+                            if op % ASYNC_YIELD_EVERY == ASYNC_YIELD_EVERY - 1 {
+                                // Nothing is protected here: every map
+                                // operation opened and closed its own bracket.
+                                mini_rt::yield_now().await;
+                            }
+                        }
+                    })); // drop parks the handle for the next task
+                    if pending.len() == wave {
+                        for handle in pending.drain(..) {
+                            handle.await;
+                            completed += 1;
                         }
                     }
-                })); // drop parks the handle for the next task
-                if pending.len() == wave {
-                    for handle in pending.drain(..) {
-                        handle.await;
-                        completed += 1;
-                    }
                 }
-            }
-            for handle in pending {
-                handle.await;
-                completed += 1;
-            }
-            completed
+                for handle in pending {
+                    handle.await;
+                    completed += 1;
+                }
+                completed
+            });
+            (completed, start.elapsed())
         });
-        elapsed = start.elapsed();
-        stop.store(true, Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
-        let (unreclaimed, occupancy) = sampler_thread.join().expect("sampler thread");
-        unreclaimed_sampler = unreclaimed;
-        occupancy_sampler = occupancy;
+        let gauges = sample_gauges(&*domain, || executor.is_finished());
+        (executor.join().expect("executor thread"), gauges)
     });
     assert_eq!(completed, tasks, "every spawned task must complete");
 
@@ -711,294 +645,17 @@ where
     unsafe { stall.retire(stall_node) };
     stall.force_cleanup();
 
-    RunOutcome {
-        ops: (tasks * POOL_TASK_OPS) as u64,
-        avg_unreclaimed: unreclaimed_sampler.average(),
-        avg_occupied_shards: occupancy_sampler.average(),
-        shards: domain.registry().shard_count(),
-        elapsed,
-        stats: domain.stats(),
-        pool_hit_rate: pool.stats().hit_rate(),
-        tasks: tasks as u64,
-        unreclaimed_bytes: unreclaimed_sampler.average() * M::node_bytes() as f64,
-        service: map.service_stats(),
-    }
-}
-
-/// Measures one async-task data point (the `kv-async` figure; averaged over
-/// `params.repeats` runs). `threads` in the resulting row is the executor
-/// worker count; the swept axis is `tasks`.
-pub fn run_async_kv<R, M>(
-    scheme: &'static str,
-    structure: &'static str,
-    tasks: usize,
-    params: &BenchParams,
-) -> DataPoint
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    average_point(
-        scheme,
-        structure,
-        "async-tasks",
-        params.async_workers.max(1),
-        params,
-        |repeat| run_async_kv_once::<R, M>(tasks, params, 0xA57C + repeat),
-    )
-}
-
-/// Runs the queue workload once (50% enqueue / 50% dequeue).
-fn run_queue_once<R, Q>(threads: usize, params: &BenchParams, seed: u64) -> RunOutcome
-where
-    R: Reclaimer,
-    Q: ConcurrentQueue<R>,
-{
-    let domain = R::with_config(domain_config::<R>(threads, Q::required_slots(), params));
-    let queue = Q::with_domain(Arc::clone(&domain));
-
-    {
-        let mut handle = domain.register();
-        let mut generator = OpGenerator::new(
-            MapWorkload::WriteDominated,
-            params.key_range,
-            seed,
-            usize::MAX >> 1,
-        );
-        for _ in 0..params.prefill {
-            queue.enqueue(&mut handle, generator.next_key());
-        }
-    }
-
-    let stop = AtomicBool::new(false);
-    let measuring = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let barrier = Barrier::new(threads + 1);
-    let mut unreclaimed_sampler = Sampler::new();
-    let mut occupancy_sampler = Sampler::new();
-    let mut elapsed = Duration::ZERO;
-
-    std::thread::scope(|scope| {
-        for thread in 0..threads {
-            let domain = Arc::clone(&domain);
-            let queue = &queue;
-            let stop = &stop;
-            let measuring = &measuring;
-            let total_ops = &total_ops;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                let mut handle = domain.register();
-                let mut generator =
-                    OpGenerator::new(MapWorkload::WriteDominated, params.key_range, seed, thread);
-                barrier.wait();
-                let mut ops = 0u64;
-                // ORDER: benchmark control flag; no data is ordered by it.
-                while !stop.load(Ordering::Relaxed) {
-                    // ORDER: benchmark control flag; no data is ordered by it.
-                    if !measuring.load(Ordering::Relaxed) {
-                        ops = 0;
-                    }
-                    if generator.next_bool() {
-                        queue.enqueue(&mut handle, generator.next_key());
-                    } else {
-                        queue.dequeue(&mut handle);
-                    }
-                    ops += 1;
-                }
-                total_ops.fetch_add(ops, Ordering::Relaxed); // ORDER: throughput counter, aggregated after the threads join.
-            });
-        }
-        elapsed = drive_sampling(
-            &domain,
-            params,
-            &barrier,
-            &measuring,
-            &stop,
-            &mut unreclaimed_sampler,
-            &mut occupancy_sampler,
-        );
-    });
-
-    RunOutcome {
-        ops: total_ops.into_inner(),
-        avg_unreclaimed: unreclaimed_sampler.average(),
-        avg_occupied_shards: occupancy_sampler.average(),
-        shards: domain.registry().shard_count(),
-        elapsed,
-        stats: domain.stats(),
-        pool_hit_rate: 0.0,
-        tasks: 0,
-        unreclaimed_bytes: 0.0,
-        service: MapServiceStats::default(),
-    }
-}
-
-/// Averages `repeats` outcomes of `run` into one data point.
-fn average_point(
-    scheme: &'static str,
-    structure: &'static str,
-    workload: &'static str,
-    threads: usize,
-    params: &BenchParams,
-    mut run: impl FnMut(u64) -> RunOutcome,
-) -> DataPoint {
-    process_warm_up();
-    let repeats = params.repeats.max(1);
-    let mut mops = 0.0;
-    let mut unreclaimed = 0.0;
-    let mut adopted_batches = 0.0;
-    let mut freed_via_adoption = 0.0;
-    let mut occupied = 0.0;
-    let mut hit_rate = 0.0;
-    let mut shards = 0;
-    let mut tasks = 0;
-    let mut unreclaimed_bytes = 0.0;
-    let mut cache_hits = 0.0;
-    let mut cache_misses = 0.0;
-    let mut cached_bytes = 0.0;
-    let mut load_factor = 0.0;
-    let mut resizes = 0.0;
-    let mut migrated_buckets = 0.0;
-    for repeat in 0..repeats {
-        let outcome = run(repeat as u64);
-        mops += outcome.ops as f64 / outcome.elapsed.as_secs_f64() / 1e6;
-        unreclaimed += outcome.avg_unreclaimed;
-        adopted_batches += outcome.stats.adopted_batches as f64;
-        freed_via_adoption += outcome.stats.freed_via_adoption as f64;
-        occupied += outcome.avg_occupied_shards;
-        hit_rate += outcome.pool_hit_rate;
-        shards = outcome.shards;
-        tasks = outcome.tasks;
-        unreclaimed_bytes += outcome.unreclaimed_bytes;
-        cache_hits += outcome.stats.cache_hits as f64;
-        cache_misses += outcome.stats.cache_misses as f64;
-        cached_bytes += outcome.stats.cached_bytes as f64;
-        load_factor += outcome.service.load_factor;
-        resizes += outcome.service.resizes as f64;
-        migrated_buckets += outcome.service.migrated_buckets as f64;
-    }
-    let repeats = repeats as f64;
-    DataPoint {
-        scheme,
-        structure,
-        workload,
-        threads,
-        mops: mops / repeats,
-        avg_unreclaimed: unreclaimed / repeats,
-        adopted_batches: adopted_batches / repeats,
-        freed_via_adoption: freed_via_adoption / repeats,
-        shards,
-        avg_occupied_shards: occupied / repeats,
-        pool_hit_rate: hit_rate / repeats,
-        tasks,
-        unreclaimed_bytes: unreclaimed_bytes / repeats,
-        cache_hits: cache_hits / repeats,
-        cache_misses: cache_misses / repeats,
-        cached_bytes: cached_bytes / repeats,
-        load_factor: load_factor / repeats,
-        resizes: resizes / repeats,
-        migrated_buckets: migrated_buckets / repeats,
-    }
-}
-
-/// Measures one map data point (averaged over `params.repeats` runs).
-pub fn run_map<R, M>(
-    scheme: &'static str,
-    structure: &'static str,
-    workload: MapWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    average_point(
-        scheme,
-        structure,
-        workload.label(),
-        threads,
-        params,
-        |repeat| run_map_once::<R, M>(threads, workload, params, 0xC0FFEE + repeat),
-    )
-}
-
-/// Measures one pooled-handle map data point (the `kv-pool` figure; averaged
-/// over `params.repeats` runs).
-pub fn run_pooled_map<R, M>(
-    scheme: &'static str,
-    structure: &'static str,
-    workload: MapWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    average_point(scheme, structure, "pool-churn", threads, params, |repeat| {
-        run_pooled_map_once::<R, M>(threads, workload, params, 0x9001 + repeat)
-    })
-}
-
-/// Measures one cross-shard-churn data point: the write-dominated map
-/// workload on a registry with at least two shards, with the block cache
-/// pinned on or off by `label`'s caller via `params.block_cache` — the
-/// retire→free→alloc recycling loop the per-shard block cache is built for.
-/// Averaged over `params.repeats` runs.
-pub fn run_churn_map<R, M>(
-    scheme: &'static str,
-    structure: &'static str,
-    label: &'static str,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    let mut churn_params = params.clone();
-    // Churn is only "cross-shard" when the registry actually splits: resolve
-    // auto-sizing (0) to the host's parallelism and force at least two shards
-    // either way (auto on a single-CPU host would collapse to one). The
-    // registry still clamps to `max_threads`, so single-thread points stay
-    // single-shard baselines.
-    let auto = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    churn_params.shards = match churn_params.shards {
-        0 => auto.max(2),
-        pinned => pinned.max(2),
-    };
-    average_point(scheme, structure, label, threads, params, move |repeat| {
-        run_map_once::<R, M>(
-            threads,
-            MapWorkload::WriteDominated,
-            &churn_params,
-            0x5EED + repeat,
-        )
-    })
-}
-
-/// Measures one queue data point (averaged over `params.repeats` runs).
-pub fn run_queue<R, Q>(
-    scheme: &'static str,
-    structure: &'static str,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint
-where
-    R: Reclaimer,
-    Q: ConcurrentQueue<R>,
-{
-    average_point(scheme, structure, "queue50", threads, params, |repeat| {
-        run_queue_once::<R, Q>(threads, params, 0xBADC0DE + repeat)
-    })
+    let mut metrics = base_metrics(&*domain, (tasks * POOL_TASK_OPS) as u64, elapsed, gauges);
+    metrics.push(("pool_hit_rate", pool.stats().hit_rate()));
+    metrics.push(("tasks", tasks as f64));
+    metrics.push(("unreclaimed_bytes", gauges.0 * M::node_bytes() as f64));
+    metrics
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::{Figure, Scheme};
     use wfe_core::Wfe;
     use wfe_ds::{MichaelHashMap, MichaelScottQueue, ResizableHashMap};
     use wfe_reclaim::He;
@@ -1016,9 +673,13 @@ mod tests {
         assert_eq!(point.threads, 2);
         assert!(point.mops > 0.0, "some operations completed");
         assert!(point.avg_unreclaimed >= 0.0);
-        assert!(point.shards >= 1);
-        assert!(point.avg_occupied_shards <= point.shards as f64);
-        assert_eq!(point.pool_hit_rate, 0.0, "no pool in the per-thread runner");
+        assert!(point.metric("shards") >= 1.0);
+        assert!(point.metric("avg_occupied_shards") <= point.metric("shards"));
+        assert_eq!(
+            point.metric("pool_hit_rate"),
+            0.0,
+            "no pool in the per-thread runner"
+        );
         assert!(point.to_csv_row().starts_with("hashmap,write50,WFE,2,"));
     }
 
@@ -1035,12 +696,12 @@ mod tests {
         assert_eq!(point.workload, "kv-resize-storm");
         assert!(point.mops > 0.0, "some operations completed");
         assert!(
-            point.resizes > 0.0,
+            point.metric("resizes") > 0.0,
             "a storm of fresh keys must double the directory (resizes {})",
-            point.resizes
+            point.metric("resizes")
         );
-        assert!(point.migrated_buckets > 0.0);
-        assert!(point.load_factor > 0.0);
+        assert!(point.metric("migrated_buckets") > 0.0);
+        assert!(point.metric("load_factor") > 0.0);
         let row = point.to_csv_row();
         assert_eq!(
             row.matches(',').count(),
@@ -1059,9 +720,9 @@ mod tests {
             1,
             &params,
         );
-        assert_eq!(point.load_factor, 0.0);
-        assert_eq!(point.resizes, 0.0);
-        assert_eq!(point.migrated_buckets, 0.0);
+        assert_eq!(point.metric("load_factor"), 0.0);
+        assert_eq!(point.metric("resizes"), 0.0);
+        assert_eq!(point.metric("migrated_buckets"), 0.0);
     }
 
     #[test]
@@ -1076,17 +737,13 @@ mod tests {
     fn churn_runner_reports_cache_counters() {
         let mut params = BenchParams::smoke();
         params.block_cache = Some(true);
-        let point = run_churn_map::<Wfe, MichaelHashMap<u64, Wfe>>(
-            "WFE",
-            "hashmap",
-            "churn-cache-on",
-            2,
-            &params,
-        );
+        params.threads = vec![2];
+        let points = Figure::CrossShardChurn.run(&params, &[Scheme::Wfe]);
+        let point = &points[0];
         assert_eq!(point.workload, "churn-cache-on");
         assert!(point.mops > 0.0);
         assert!(
-            point.cache_hits + point.cache_misses > 0.0,
+            point.metric("cache_hits") + point.metric("cache_misses") > 0.0,
             "churn produces cacheable allocation traffic"
         );
         let row = point.to_csv_row();
@@ -1110,11 +767,11 @@ mod tests {
         assert_eq!(point.workload, "pool-churn");
         assert!(point.mops > 0.0, "tasks completed through the pool");
         assert!(
-            point.pool_hit_rate > 0.5,
+            point.metric("pool_hit_rate") > 0.5,
             "steady-state churn is served from the pool (hit rate {})",
-            point.pool_hit_rate
+            point.metric("pool_hit_rate")
         );
-        assert!(point.avg_occupied_shards >= 0.0);
+        assert!(point.metric("avg_occupied_shards") >= 0.0);
         let row = point.to_csv_row();
         assert!(row.starts_with("hashmap,pool-churn,HE,2,"), "row: {row}");
     }

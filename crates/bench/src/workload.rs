@@ -19,6 +19,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use wfe_ds::hash::mix64;
 
 /// The operation mix applied to key-value structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,7 +106,7 @@ impl OpGenerator {
 }
 
 /// Minimal SplitMix64 PRNG (Steele, Lea & Flood): one `u64` of state, a
-/// golden-gamma increment and the shared avalanche finalizer. Used by the
+/// golden-gamma increment and [`mix64`] as the finaliser. Used by the
 /// kv-service generators so their streams are replayable from a single seed
 /// with no dependence on an external RNG crate's stream layout.
 #[derive(Debug, Clone)]
@@ -120,10 +121,7 @@ impl SplitMix64 {
     /// The next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(self.0)
     }
 
     /// A uniform draw from `[0, 1)` (53 mantissa bits).
@@ -134,8 +132,8 @@ impl SplitMix64 {
 
 /// Zipfian rank sampler (YCSB's rejection-free inverse-CDF construction)
 /// with the standard skew θ = 0.99: rank 0 is the hottest, popularity decays
-/// as `1 / rank^θ`. Ranks are scrambled through the avalanche mixer before
-/// use so the hot set is spread across the key space (and across the
+/// as `1 / rank^θ`. Ranks are scrambled through [`mix64`] (the SplitMix64
+/// finaliser the data-structure layer hashes with) before use so the hot set is spread across the key space (and across the
 /// resizable map's buckets) instead of clustering at 0.
 #[derive(Debug, Clone)]
 pub struct ZipfKeys {
@@ -185,17 +183,8 @@ impl ZipfKeys {
     /// Draws a Zipf-popular *key*: the rank scrambled over the key space so
     /// hot keys do not cluster in one bucket run.
     pub fn next_key(&self, rng: &mut SplitMix64) -> u64 {
-        scramble(self.next_rank(rng)) % self.key_range
+        mix64(self.next_rank(rng)) % self.key_range
     }
-}
-
-/// The avalanche scramble used to map Zipf ranks onto keys (the same
-/// SplitMix64 finalizer the data-structure layer hashes with).
-#[inline]
-fn scramble(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The kv-service figure legs.
